@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 
 class NotBipartiteError(ValueError):
@@ -140,61 +141,92 @@ def _odd_cycle(parent: dict[int, int | None], u: int, w: int) -> tuple[int, ...]
 
 
 def automorphism_count(g: Graph) -> int:
-    """Count adjacency-preserving vertex permutations by pruned backtracking.
+    """Count adjacency-preserving vertex permutations by backtracking.
 
-    Candidate images are restricted to vertices of equal degree that remain
-    adjacency-consistent with everything mapped so far; mapping in BFS order
-    keeps the branching factor near the vertex degree.  Intended for small
-    graphs (tens of vertices); larger inputs just get slow.
+    Vertices are mapped in BFS order.  Automorphisms are exactly the
+    isometries of the graph metric, so a partial map survives only while
+    it preserves the distance between every pair of mapped vertices, with
+    "unreachable" as one more distance value (components map onto
+    components).  Distance 1 is adjacency, so this prunes at least as hard
+    as an adjacency test, and far harder on vertex-transitive graphs.
+    Candidate images of a vertex with a mapped neighbour are that
+    neighbour's image's neighbours, restricted to unused vertices of equal
+    degree.
+
+    Costs an O(V^2) distance table, filled by one BFS per vertex in
+    O(V * E).  The search keeps an explicit stack of candidate iterators,
+    so its depth is not bounded by Python's recursion limit.
     """
     n = g.n_vertices
     if n == 0:
         return 1
-    adj = [set(nb) for nb in g.adjacency]
+    adj = g.adjacency
     deg = [len(a) for a in adj]
 
+    dist: list[list[int]] = []
     order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
+    placed = [False] * n
+    for v in range(n):
+        row, reached = _bfs(adj, v)
+        dist.append(row)
+        if not placed[v]:           # v is the smallest vertex of a new component
+            order.extend(reached)
+            for u in reached:
+                placed[u] = True
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # anchor[i]: the position of order[i]'s BFS parent, its neighbour mapped
+    # first; None for a component root, which may map anywhere.
+    anchor: list[int | None] = []
+    for i, v in enumerate(order):
+        j = min((pos[u] for u in adj[v]), default=i)
+        anchor.append(j if j < i else None)
 
-    image = [-1] * n
+    mapped = [-1] * n               # mapped[i] is the image of order[i]
     used = [False] * n
-    count = 0
 
-    def extend(i: int) -> None:
-        nonlocal count
-        if i == n:
-            count += 1
-            return
+    def candidates(i: int):
         v = order[i]
-        mapped_nbrs = [u for u in adj[v] if image[u] != -1]
-        candidates = adj[image[mapped_nbrs[0]]] if mapped_nbrs else range(n)
-        for w in candidates:
-            if used[w] or deg[w] != deg[v]:
-                continue
-            ok = True
-            for u in order[:i]:
-                if (u in adj[v]) != (image[u] in adj[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            extend(i + 1)
-            image[v] = -1
-            used[w] = False
+        pool = range(n) if anchor[i] is None else adj[mapped[anchor[i]]]
+        if i == 0:
+            return (w for w in pool if deg[w] == deg[v])
+        # dist(u, v) == dist(f(u), w) for every mapped u, compared in C.
+        # Distinct vertices are at nonzero distance, so this alone keeps the
+        # map injective; `used` only rejects taken images more cheaply.
+        want = itemgetter(*order[:i])(dist[v])
+        got = itemgetter(*mapped[:i])
+        return (w for w in pool
+                if not used[w] and deg[w] == deg[v] and got(dist[w]) == want)
 
-    extend(0)
+    count = 0
+    stack = [candidates(0)]
+    while stack:
+        i = len(stack) - 1
+        if mapped[i] != -1:         # retract this depth's previous choice
+            used[mapped[i]] = False
+            mapped[i] = -1
+        w = next(stack[i], None)
+        if w is None:
+            stack.pop()
+        elif i == n - 1:
+            count += 1
+        else:
+            mapped[i] = w
+            used[w] = True
+            stack.append(candidates(i + 1))
     return count
+
+
+def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> tuple[list[int], list[int]]:
+    """Distances from source (-1 where unreachable) and the BFS visit order."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    reached = [source]
+    for u in reached:               # the list grows while it is scanned: a queue
+        d = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = d
+                reached.append(w)
+    return dist, reached

@@ -9,6 +9,26 @@ from unitdist.graph import (Graph, NotBipartiteError, automorphism_count,
                             bipartition, generalized_petersen)
 
 
+# |Aut GP(n, s)| after Frucht, Graver and Watkins (1971): 4n when
+# s^2 = +-1 (mod n), else 2n, except (4,1), (5,2), (8,3), (10,2), (10,3),
+# (12,5) and (24,5).  Every graph of the benchmark family, plus the cube.
+FGW_ORDERS = {
+    (4, 1): 48,     # exception: the cube
+    (5, 2): 120,    # exception
+    (8, 3): 96,     # exception
+    (10, 2): 120,   # exception
+    (10, 3): 240,   # exception
+    (12, 5): 144,   # exception
+    (16, 7): 64,    # 49 = 1 (mod 16)
+    (18, 5): 36,    # 25 = 7 (mod 18)
+    (24, 5): 288,   # exception
+    (26, 5): 104,   # 25 = -1 (mod 26)
+    (16, 1): 64,
+    (32, 1): 128,
+    (64, 1): 256,
+}
+
+
 def _is_automorphism(g, perm):
     return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
 
@@ -151,12 +171,24 @@ class TestAutomorphismCount:
         (((0, 1), (1, 2), (2, 3), (3, 0)), 4),          # C4 -> 8
         (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 4),  # K4 -> 24
         (((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)), 5),  # C5 -> 10
+        ((), 3),                                         # 3 isolated -> 6
+        (((0, 1), (2, 3)), 4),                           # 2K2 -> 8
+        (((0, 1),), 3),                                  # K2 + K1 -> 2
     ])
     def test_against_permutation_oracle(self, edges, n):
         g = Graph(n, edges)
         assert automorphism_count(g) == _brute_force_automorphisms(g)
 
-    @pytest.mark.parametrize("n,s", [(5, 2), (8, 3)])
+    @pytest.mark.parametrize("n,s", sorted(FGW_ORDERS))
+    def test_frucht_graver_watkins_order(self, n, s):
+        assert automorphism_count(generalized_petersen(n, s)) == FGW_ORDERS[(n, s)]
+
+    def test_long_path_needs_no_recursion(self):
+        # deeper than the default recursion limit of 1000
+        g = Graph(1200, tuple((i, i + 1) for i in range(1199)))
+        assert automorphism_count(g) == 2
+
+    @pytest.mark.parametrize("n,s", [(5, 2), (8, 3), (10, 3), (12, 5)])
     def test_against_networkx_vf2(self, n, s):
         g = generalized_petersen(n, s)
         nx_graph = nx.Graph(list(g.edges))
