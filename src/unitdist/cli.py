@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -20,31 +19,16 @@ from .configuration import (IncidenceStructure, IncidenceMismatchError,
                             NotFaithfulError, build_point_circle,
                             validate_configuration)
 from .graph import bipartition
-from .layout import Drawing, InfeasibleLayoutError, circular_layout, rhombus_layout
+from .layout import Drawing, RhombusParams, circular_layout, rhombus_layout
 from .render import RenderStyle, render_drawing, render_configuration
-from .solver import (enumerate_solutions, solution_from_json_dict,
-                     solution_to_json_dict)
-from .verifier import FaithfulnessReport, verify
+from .solver import (DEFAULT_SEED_COUNT, DEFAULT_TOL, enumerate_solutions,
+                     solution_from_json_dict, solution_to_json_dict)
+from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD,
+                       FaithfulnessReport, verify)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERDICT = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    out_dir: Path
-    seed_count: int = 10_000
-    rng_seed: int = 0
-    solver_tol: float = 1e-12
-    edge_tol: float = 1e-9
-    gap_threshold: float = 1e-2
-    rotation_sign: int = -1
-    centers_class: str = "a"
-    solutions_path: Path | None = None
-    drawing_paths: tuple[Path, ...] = ()
-    configuration_paths: tuple[Path, ...] = ()
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -52,6 +36,19 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _number(convert, zero_ok: bool = False):
+    """An argparse type: a finite number > 0, or >= 0 with zero_ok."""
+    def parse(text: str):
+        value = convert(text)
+        if not (0 < value < math.inf or (zero_ok and value == 0)):
+            raise ValueError(text)
+        return value
+
+    # argparse reports the ValueError as "invalid <__name__> value: <text>"
+    parse.__name__ = f"{'non-negative' if zero_ok else 'positive'} {convert.__name__}"
+    return parse
 
 
 def _build_parser() -> _ArgumentParser:
@@ -62,87 +59,65 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out-dir", type=Path, default=Path("out"),
-                       help="directory for output artifacts (default: out)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", type=Path, default=Path("out"),
+                        help="directory for output artifacts (default: %(default)s)")
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("--seeds", type=_number(int), default=DEFAULT_SEED_COUNT,
+                         help="number of random starts (default: %(default)s)")
+    solving.add_argument("--rng-seed", type=_number(int, zero_ok=True), default=0,
+                         help="seed for the random start generator "
+                              "(default: %(default)s)")
+    solving.add_argument("--tol", type=_number(float), default=DEFAULT_TOL,
+                         help="residual max-norm tolerance (default: %(default)s)")
+    verifying = argparse.ArgumentParser(add_help=False)
+    verifying.add_argument("--edge-tol", type=_number(float),
+                           default=DEFAULT_EDGE_TOL,
+                           help="edge length tolerance (default: %(default)s)")
+    verifying.add_argument("--gap-threshold", type=_number(float),
+                           default=DEFAULT_GAP_THRESHOLD,
+                           help="required non-edge clearance from distance 1 "
+                                "(default: %(default)s)")
+    rotation = argparse.ArgumentParser(add_help=False)
+    rotation.add_argument("--rotation-sign", type=int, choices=(1, -1), default=-1,
+                          help="inner-ring rotation branch of the circular "
+                               "drawing (default: %(default)s)")
 
-    def add_solver_flags(p):
-        p.add_argument("--seeds", type=int, default=10_000,
-                       help="number of random starts (default: 10000)")
-        p.add_argument("--rng-seed", type=int, default=0,
-                       help="seed for the random start generator (default: 0)")
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="residual max-norm tolerance (default: 1e-12)")
+    p = sub.add_parser("solve", parents=[common, solving],
+                       help="enumerate roots of the embedding system")
+    p.set_defaults(run=cmd_solve)
 
-    def add_verify_flags(p):
-        p.add_argument("--edge-tol", type=float, default=1e-9,
-                       help="edge length tolerance (default: 1e-9)")
-        p.add_argument("--gap-threshold", type=float, default=1e-2,
-                       help="required non-edge clearance from distance 1 "
-                            "(default: 0.01)")
-
-    p = sub.add_parser("solve", help="enumerate roots of the embedding system")
-    add_common(p)
-    add_solver_flags(p)
-
-    p = sub.add_parser("layout", help="build drawings from solved parameters")
-    add_common(p)
+    p = sub.add_parser("layout", parents=[common, rotation],
+                       help="build drawings from solved parameters")
+    p.set_defaults(run=cmd_layout)
     p.add_argument("--solutions", type=Path, default=None,
                    help="solutions JSON (default: <out-dir>/solutions.json)")
-    p.add_argument("--rotation-sign", type=int, choices=(1, -1), default=-1,
-                   help="inner-ring rotation branch of the circular drawing "
-                        "(default: -1)")
 
-    p = sub.add_parser("verify", help="certify drawings from JSON files")
-    add_common(p)
-    add_verify_flags(p)
+    p = sub.add_parser("verify", parents=[common, verifying],
+                       help="certify drawings from JSON files")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("drawings", type=Path, nargs="+", metavar="DRAWING.json")
 
-    p = sub.add_parser("config", help="derive a point-circle configuration")
-    add_common(p)
-    add_verify_flags(p)
+    p = sub.add_parser("config", parents=[common, verifying],
+                       help="derive a point-circle configuration")
+    p.set_defaults(run=cmd_config)
     p.add_argument("drawing", type=Path, metavar="DRAWING.json")
     p.add_argument("--centers-class", choices=("a", "b"), default="a",
-                   help="bipartition class used as circle centres (default: a)")
+                   help="bipartition class used as circle centres "
+                        "(default: %(default)s)")
 
-    p = sub.add_parser("render", help="render drawings/configurations to SVG")
-    add_common(p)
+    p = sub.add_parser("render", parents=[common],
+                       help="render drawings/configurations to SVG")
+    p.set_defaults(run=cmd_render)
     p.add_argument("--drawing", type=Path, action="append", default=[],
                    metavar="DRAWING.json")
     p.add_argument("--configuration", type=Path, action="append", default=[],
                    metavar="CONFIG.json")
 
-    p = sub.add_parser("all", help="run the whole pipeline")
-    add_common(p)
-    add_solver_flags(p)
-    add_verify_flags(p)
-    p.add_argument("--rotation-sign", type=int, choices=(1, -1), default=-1)
-
+    p = sub.add_parser("all", parents=[common, solving, verifying, rotation],
+                       help="run the whole pipeline")
+    p.set_defaults(run=cmd_all)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {
-        "command": args.command,
-        "out_dir": args.out_dir,
-        "seed_count": getattr(args, "seeds", 10_000),
-        "rng_seed": getattr(args, "rng_seed", 0),
-        "solver_tol": getattr(args, "tol", 1e-12),
-        "edge_tol": getattr(args, "edge_tol", 1e-9),
-        "gap_threshold": getattr(args, "gap_threshold", 1e-2),
-        "rotation_sign": getattr(args, "rotation_sign", -1),
-        "centers_class": getattr(args, "centers_class", "a"),
-        "solutions_path": getattr(args, "solutions", None),
-    }
-    drawings = getattr(args, "drawings", None) or getattr(args, "drawing", None)
-    if drawings is not None:
-        if isinstance(drawings, Path):
-            drawings = [drawings]
-        kwargs["drawing_paths"] = tuple(drawings)
-    configs = getattr(args, "configuration", None)
-    if configs:
-        kwargs["configuration_paths"] = tuple(configs)
-    return RunConfig(**kwargs)
 
 
 class _InputError(Exception):
@@ -155,28 +130,31 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _load_json(path: Path):
+def _solutions_from_json(data) -> list[RhombusParams]:
+    if not isinstance(data, list):
+        raise TypeError("expected a list of solutions")
+    solutions = [solution_from_json_dict(entry) for entry in data]
+    if not all(math.isfinite(v) for s in solutions for v in s.as_tuple()):
+        raise ValueError("non-finite parameter")
+    return solutions
+
+
+_PARSERS = {"drawing": Drawing.from_json_dict,
+            "configuration": IncidenceStructure.from_json_dict,
+            "solutions": _solutions_from_json}
+
+
+def _read(path: Path, kind: str):
+    """The kind of artifact stored in path; any failure is an _InputError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _PARSERS[kind](json.load(fh))
     except FileNotFoundError:
         raise _InputError(f"input file {path} not found") from None
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _read_drawing(path: Path) -> Drawing:
-    try:
-        return Drawing.from_json_dict(_load_json(path))
     except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a drawing artifact: {exc}") from None
-
-
-def _read_structure(path: Path) -> IncidenceStructure:
-    try:
-        return IncidenceStructure.from_json_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a configuration artifact: {exc}") from None
+        raise _InputError(f"{path} is not a {kind} artifact: {exc}") from None
 
 
 def _report_table(name: str, report: FaithfulnessReport) -> str:
@@ -201,179 +179,135 @@ def _report_table(name: str, report: FaithfulnessReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    solutions = enumerate_solutions(seed_count=cfg.seed_count,
-                                    rng_seed=cfg.rng_seed, tol=cfg.solver_tol)
-    _write(cfg.out_dir / "solutions.json",
+# Stage helpers: each writes its artifacts, prints its lines and returns
+# what it built.  The cmd_* functions wrap one stage; cmd_all chains them.
+
+def _solve(args) -> list[RhombusParams]:
+    solutions = enumerate_solutions(seed_count=args.seeds,
+                                    rng_seed=args.rng_seed, tol=args.tol)
+    _write(args.out_dir / "solutions.json",
            dumps([solution_to_json_dict(s) for s in solutions]))
     print(f"found {len(solutions)} non-degenerate solution(s)")
     for s in solutions:
         print(f"  h={s.h:.6f} k={s.k:.6f} p={s.p:.6f} q={s.q:.6f}")
-    return EXIT_OK if solutions else EXIT_VERDICT
+    return solutions
 
 
-def cmd_layout(cfg: RunConfig) -> int:
-    path = cfg.solutions_path or cfg.out_dir / "solutions.json"
-    if not path.exists():
-        print(f"error: solutions file {path} not found (run solve first)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    entries = _load_json(path)
-    if not entries:
+def _layout(args, params: RhombusParams) -> dict[str, Drawing]:
+    """The rhombus drawing of params and the circular drawing of GP(8,3)."""
+    drawings = {"drawing": rhombus_layout(params),
+                "circular": circular_layout(8, 3, args.rotation_sign)}
+    for name, drawing in drawings.items():
+        _write(args.out_dir / f"{name}.json", dumps(drawing.to_json_dict()))
+    return drawings
+
+
+def _verify(args, name: str, drawing: Drawing) -> FaithfulnessReport:
+    report = verify(drawing, edge_tol=args.edge_tol,
+                    gap_threshold=args.gap_threshold)
+    _write(args.out_dir / f"{name}_report.json", dumps(report.to_json_dict()))
+    print(_report_table(name, report))
+    return report
+
+
+def _config(args, drawing: Drawing, classes) -> dict[str, IncidenceStructure] | None:
+    """A validated configuration per centres class, by name; None on a failure."""
+    bp = bipartition(drawing.graph)
+    structures = {}
+    for cls in classes:
+        try:
+            structure = build_point_circle(drawing, bp, cls,
+                                           edge_tol=args.edge_tol,
+                                           gap_threshold=args.gap_threshold)
+        except (NotFaithfulError, IncidenceMismatchError) as exc:
+            print(f"error: centers {cls}: {exc}", file=sys.stderr)
+            return None
+        name = f"config_centers_{cls}"
+        _write(args.out_dir / f"{name}.json", dumps(structure.to_json_dict()))
+        check = validate_configuration(structure)
+        if check.signature is None:
+            print(f"error: centers {cls}: configuration axioms violated: "
+                  f"{'; '.join(check.violations)}", file=sys.stderr)
+            return None
+        v, b, r, c = check.signature
+        print(f"centers {cls}: valid ({v}_{r}, {b}_{c}) configuration")
+        structures[name] = structure
+    return structures
+
+
+def _render(args, items) -> None:
+    """One SVG per (name, drawing or configuration) pair."""
+    for name, item in items:
+        render = render_drawing if isinstance(item, Drawing) else render_configuration
+        _write(args.out_dir / f"{name}.svg", render(item, RenderStyle()))
+
+
+def cmd_solve(args) -> int:
+    return EXIT_OK if _solve(args) else EXIT_VERDICT
+
+
+def cmd_layout(args) -> int:
+    solutions = _read(args.solutions or args.out_dir / "solutions.json",
+                      "solutions")
+    if not solutions:
         print("error: solutions file is empty", file=sys.stderr)
         return EXIT_VERDICT
-    params = solution_from_json_dict(entries[0])
-    _write(cfg.out_dir / "drawing.json",
-           dumps(rhombus_layout(params).to_json_dict()))
-    try:
-        circular = circular_layout(8, 3, cfg.rotation_sign)
-    except InfeasibleLayoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    _write(cfg.out_dir / "circular.json", dumps(circular.to_json_dict()))
+    _layout(args, solutions[0])
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    all_faithful = True
-    for path in cfg.drawing_paths:
-        drawing = _read_drawing(path)
-        report = verify(drawing, edge_tol=cfg.edge_tol,
-                        gap_threshold=cfg.gap_threshold)
-        _write(cfg.out_dir / f"{path.stem}_report.json",
-               dumps(report.to_json_dict()))
-        print(_report_table(path.stem, report))
-        all_faithful = all_faithful and report.is_faithful
-    return EXIT_OK if all_faithful else EXIT_VERDICT
+def cmd_verify(args) -> int:
+    drawings = [(path.stem, _read(path, "drawing")) for path in args.drawings]
+    reports = [_verify(args, name, drawing) for name, drawing in drawings]
+    return EXIT_OK if all(r.is_faithful for r in reports) else EXIT_VERDICT
 
 
-def cmd_config(cfg: RunConfig) -> int:
-    drawing = _read_drawing(cfg.drawing_paths[0])
-    bp = bipartition(drawing.graph)
-    try:
-        structure = build_point_circle(drawing, bp, cfg.centers_class,
-                                       edge_tol=cfg.edge_tol,
-                                       gap_threshold=cfg.gap_threshold)
-    except (NotFaithfulError, IncidenceMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    _write(cfg.out_dir / f"config_centers_{cfg.centers_class}.json",
-           dumps(structure.to_json_dict()))
-    check = validate_configuration(structure)
-    if check.signature is None:
-        print("configuration axioms violated:")
-        for violation in check.violations:
-            print(f"  {violation}")
-        return EXIT_VERDICT
-    v, b, r, c = check.signature
-    print(f"valid ({v}_{r}, {b}_{c}) configuration")
-    return EXIT_OK
+def cmd_config(args) -> int:
+    drawing = _read(args.drawing, "drawing")
+    return EXIT_OK if _config(args, drawing, args.centers_class) else EXIT_VERDICT
 
 
-def cmd_render(cfg: RunConfig) -> int:
-    if not cfg.drawing_paths and not cfg.configuration_paths:
+def cmd_render(args) -> int:
+    if not args.drawing and not args.configuration:
         print("error: nothing to render; pass --drawing and/or --configuration",
               file=sys.stderr)
         return EXIT_USAGE
-    style = RenderStyle()
-    for path in cfg.drawing_paths:
-        _write(cfg.out_dir / f"{path.stem}.svg",
-               render_drawing(_read_drawing(path), style))
-    for path in cfg.configuration_paths:
-        _write(cfg.out_dir / f"{path.stem}.svg",
-               render_configuration(_read_structure(path), style))
+    _render(args, [(path.stem, _read(path, "drawing")) for path in args.drawing]
+            + [(path.stem, _read(path, "configuration"))
+               for path in args.configuration])
     return EXIT_OK
 
 
-def cmd_all(cfg: RunConfig) -> int:
-    style = RenderStyle()
-
-    solutions = enumerate_solutions(seed_count=cfg.seed_count,
-                                    rng_seed=cfg.rng_seed, tol=cfg.solver_tol)
-    _write(cfg.out_dir / "solutions.json",
-           dumps([solution_to_json_dict(s) for s in solutions]))
+def cmd_all(args) -> int:
+    solutions = _solve(args)
     if not solutions:
         print("stage solve failed: no non-degenerate solutions found",
               file=sys.stderr)
         return EXIT_VERDICT
-    print(f"stage solve: {len(solutions)} non-degenerate solution(s)")
-
-    drawing = rhombus_layout(solutions[0])
-    try:
-        circular = circular_layout(8, 3, cfg.rotation_sign)
-    except InfeasibleLayoutError as exc:
-        print(f"stage layout failed: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
-    _write(cfg.out_dir / "drawing.json", dumps(drawing.to_json_dict()))
-    _write(cfg.out_dir / "circular.json", dumps(circular.to_json_dict()))
-
-    report = verify(drawing, edge_tol=cfg.edge_tol,
-                    gap_threshold=cfg.gap_threshold)
-    circular_report = verify(circular, edge_tol=cfg.edge_tol,
-                             gap_threshold=cfg.gap_threshold)
-    _write(cfg.out_dir / "drawing_report.json", dumps(report.to_json_dict()))
-    _write(cfg.out_dir / "circular_report.json",
-           dumps(circular_report.to_json_dict()))
-    print(_report_table("drawing", report))
-    print(_report_table("circular", circular_report))
-
-    _write(cfg.out_dir / "drawing.svg", render_drawing(drawing, style))
-    _write(cfg.out_dir / "circular.svg", render_drawing(circular, style))
-
-    if not report.is_faithful:
+    drawings = _layout(args, solutions[0])
+    reports = {name: _verify(args, name, d) for name, d in drawings.items()}
+    _render(args, drawings.items())
+    if not reports["drawing"].is_faithful:
         print("stage verify failed: rhombus drawing is not faithful",
               file=sys.stderr)
         return EXIT_VERDICT
-
-    bp = bipartition(drawing.graph)
-    try:
-        structures = {
-            "a": build_point_circle(drawing, bp, "a", edge_tol=cfg.edge_tol,
-                                    gap_threshold=cfg.gap_threshold),
-            "b": build_point_circle(drawing, bp, "b", edge_tol=cfg.edge_tol,
-                                    gap_threshold=cfg.gap_threshold),
-        }
-    except (NotFaithfulError, IncidenceMismatchError) as exc:
-        print(f"stage config failed: {exc}", file=sys.stderr)
+    structures = _config(args, drawings["drawing"], "ab")
+    if structures is None:
         return EXIT_VERDICT
-    for cls, structure in structures.items():
-        check = validate_configuration(structure)
-        if check.signature is None:
-            print(f"stage config failed: centers {cls}: "
-                  f"{'; '.join(check.violations)}", file=sys.stderr)
-            return EXIT_VERDICT
-        v, b, r, c = check.signature
-        print(f"stage config: centers {cls}: valid ({v}_{r}, {b}_{c}) configuration")
-        _write(cfg.out_dir / f"config_centers_{cls}.json",
-               dumps(structure.to_json_dict()))
-        _write(cfg.out_dir / f"config_centers_{cls}.svg",
-               render_configuration(structure, style))
+    _render(args, structures.items())
     return EXIT_OK
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "layout": cmd_layout,
-    "verify": cmd_verify,
-    "config": cmd_config,
-    "render": cmd_render,
-    "all": cmd_all,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "edge_tol" in args and args.gap_threshold <= args.edge_tol:
+            parser.error("--gap-threshold must exceed --edge-tol")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "gap_threshold", 1e-2) <= getattr(args, "edge_tol", 1e-9):
-        print("unitdist: error: --gap-threshold must exceed --edge-tol",
-              file=sys.stderr)
-        return EXIT_USAGE
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except _InputError as exc:
         print(f"unitdist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,8 @@
 """Planar drawings: the rhombus embedding of GP(8,3) and circular layouts.
 
 Both constructions put vertex 0 at the top (positive y axis).  Coordinates
-are in unit-edge-length units.
+are in unit-edge-length units.  The rhombus drawing is pinned by the four
+unknowns of RhombusParams, which the solver finds.
 """
 
 from __future__ import annotations
@@ -10,7 +11,25 @@ import math
 from dataclasses import dataclass
 
 from .graph import Graph, generalized_petersen
-from .solver import RhombusParams
+
+_DISTINCT_VERTEX_TOL = 1e-6
+
+
+@dataclass(frozen=True, order=True)
+class RhombusParams:
+    """The four unknowns, in unit-edge-length units.
+
+    Ordering is lexicographic on (h, k, p, q), which fixes the order of
+    enumerated solution lists.
+    """
+
+    h: float
+    k: float
+    p: float
+    q: float
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.h, self.k, self.p, self.q)
 
 
 class InfeasibleLayoutError(ValueError):
@@ -42,8 +61,7 @@ class Drawing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Drawing":
-        return cls(Graph.from_json_dict(data["graph"]),
-                   tuple((float(x), float(y)) for x, y in data["positions"]))
+        return cls(Graph.from_json_dict(data["graph"]), data["positions"])
 
 
 def rhombus_layout(params: RhombusParams) -> Drawing:
@@ -77,6 +95,46 @@ def rhombus_layout(params: RhombusParams) -> Drawing:
         (p, -q),            # 15
     )
     return Drawing(generalized_petersen(8, 3), positions)
+
+
+def _is_nondegenerate(params: RhombusParams) -> bool:
+    if not (params.h > 0.0 and params.k > 0.0):
+        return False
+    pts = rhombus_layout(params).positions
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            dx = pts[i][0] - pts[j][0]
+            dy = pts[i][1] - pts[j][1]
+            if dx * dx + dy * dy < _DISTINCT_VERTEX_TOL ** 2:
+                return False
+    return True
+
+
+def check_reflection_pair(a: RhombusParams, b: RhombusParams,
+                          tol: float = 1e-9) -> bool:
+    """True iff drawing(b) is drawing(a) mirrored in the line y = x.
+
+    The mirrored point set of a must equal the point set of b as multisets
+    (per-coordinate within tol, matched one to one), and the induced vertex
+    correspondence must preserve adjacency.  Ambiguous matches (two vertices
+    of b within tol of one mirrored point) fail the check.
+    """
+    drawing_a = rhombus_layout(a)
+    drawing_b = rhombus_layout(b)
+    mirrored = [(y, x) for (x, y) in drawing_a.positions]
+    matched: list[int] = []
+    used: set[int] = set()
+    for mx, my in mirrored:
+        hits = [w for w, (bx, by) in enumerate(drawing_b.positions)
+                if w not in used and abs(bx - mx) <= tol and abs(by - my) <= tol]
+        if len(hits) != 1:
+            return False
+        matched.append(hits[0])
+        used.add(hits[0])
+    edge_set = drawing_b.graph.edge_set
+    return all(((matched[u], matched[v]) if matched[u] < matched[v]
+                else (matched[v], matched[u])) in edge_set
+               for u, v in drawing_a.graph.edges)
 
 
 def circular_radii(n: int, s: int) -> tuple[float, float]:

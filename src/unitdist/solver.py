@@ -12,15 +12,17 @@ symmetry, to four quadratic equations:
 
 f1 makes the rhombus side span two unit edges; f2..f4 make the edges
 13-8, 13-10 and 13-5 unit length.  All remaining edges follow from the
-dihedral symmetry of the coordinate scheme.
+dihedral symmetry of the coordinate scheme.  RhombusParams and
+check_reflection_pair are defined in layout and re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .layout import RhombusParams, _is_nondegenerate, check_reflection_pair
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
@@ -28,9 +30,15 @@ DEFAULT_SEED_COUNT = 10_000
 DEFAULT_DEDUPE_TOL = 1e-6
 DEFAULT_BOX: tuple[tuple[float, float], ...] = ((-3.0, 3.0),) * 4
 
-_MIN_DAMPING = 2.0 ** -20
 _SINGULAR_DET = 1e-14
-_DISTINCT_VERTEX_TOL = 1e-6
+# the line search tries damping 1, 1/2, ..., 2**-20 in order, in three
+# vectorised blocks: most steps take the full step, few get past 1/16
+_DAMPING_BLOCKS = tuple(np.ldexp(1.0, -np.arange(lo, hi))[:, None]
+                        for lo, hi in ((0, 1), (1, 5), (5, 21)))
+
+# per-seed outcome of _newton_sweep; a seed still iterating holds BUDGET,
+# which stays its outcome when the iteration budget runs out
+CONVERGED, SINGULAR, STALLED, BUDGET = range(4)
 
 
 class SolverError(Exception):
@@ -43,23 +51,6 @@ class SingularJacobian(SolverError):
 
 class NoConvergence(SolverError):
     """Newton iteration failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True, order=True)
-class RhombusParams:
-    """The four unknowns, in unit-edge-length units.
-
-    Ordering is lexicographic on (h, k, p, q), which fixes the order of
-    enumerated solution lists.
-    """
-
-    h: float
-    k: float
-    p: float
-    q: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.h, self.k, self.p, self.q)
 
 
 class ResidualVector(NamedTuple):
@@ -91,19 +82,19 @@ def _residual_array(x: np.ndarray) -> np.ndarray:
 def _jacobian_array(x: np.ndarray) -> np.ndarray:
     """Analytic Jacobians, shape (..., 4, 4); row i is grad f_{i+1}."""
     h, k, p, q = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
+    a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
     jac = np.zeros(x.shape[:-1] + (4, 4))
     jac[..., 0, 0] = 2.0 * h
     jac[..., 0, 1] = 2.0 * k
-    jac[..., 1, 1] = -2.0 * (q - k + 1.0)
+    jac[..., 1, 1] = -2.0 * a
     jac[..., 1, 2] = 2.0 * p
-    jac[..., 1, 3] = 2.0 * (q - k + 1.0)
-    jac[..., 2, 0] = 2.0 * (p + h - 1.0)
-    jac[..., 2, 2] = 2.0 * (p + h - 1.0)
+    jac[..., 1, 3] = 2.0 * a
+    jac[..., 2, 0] = jac[..., 2, 2] = 2.0 * b
     jac[..., 2, 3] = 2.0 * q
-    jac[..., 3, 0] = -(p - 0.5 * h)
-    jac[..., 3, 1] = q + 0.5 * k
-    jac[..., 3, 2] = 2.0 * (p - 0.5 * h)
-    jac[..., 3, 3] = 2.0 * (q + 0.5 * k)
+    jac[..., 3, 0] = -c
+    jac[..., 3, 1] = d
+    jac[..., 3, 2] = 2.0 * c
+    jac[..., 3, 3] = 2.0 * d
     return jac
 
 
@@ -135,39 +126,19 @@ def newton_solve(seed: RhombusParams, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> RhombusParams:
     """Damped Newton iteration until the residual max-norm is <= tol.
 
-    Each step is halved (down to damping 2**-20) until the residual
-    max-norm decreases.  Raises SingularJacobian when the equilibrated
-    Jacobian determinant falls below 1e-14, and NoConvergence when the
-    iteration budget runs out or the line search stalls at minimum damping.
+    This is the one-row case of the lockstep sweep that enumerate_solutions
+    runs.  Raises SingularJacobian when the equilibrated Jacobian
+    determinant falls below 1e-14, and NoConvergence when the iteration
+    budget runs out or the line search stalls at minimum damping.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    x = np.asarray(seed.as_tuple(), dtype=float)
-    f = _residual_array(x)
-    fnorm = float(np.abs(f).max())
-    if fnorm <= tol:
-        return seed
-    for _ in range(max_iter):
-        jac = _jacobian_array(x)
-        if abs(float(_scaled_dets(jac[None])[0])) < _SINGULAR_DET:
-            raise SingularJacobian(f"singular Jacobian at {tuple(x.tolist())}")
-        step = np.linalg.solve(jac, -f)
-        damping = 1.0
-        while True:
-            x_try = x + damping * step
-            f_try = _residual_array(x_try)
-            fnorm_try = float(np.abs(f_try).max())
-            if fnorm_try < fnorm:
-                break
-            if damping <= _MIN_DAMPING:
-                raise NoConvergence(
-                    f"line search stalled at residual {fnorm:.3e}")
-            damping *= 0.5
-        x, f, fnorm = x_try, f_try, fnorm_try
-        if fnorm <= tol:
-            return RhombusParams(*x.tolist())
+    [x], [status] = _newton_sweep([seed.as_tuple()], tol, max_iter)
+    if status == CONVERGED:
+        return RhombusParams(*x.tolist())
+    if status == SINGULAR:
+        raise SingularJacobian(f"singular Jacobian at {tuple(x.tolist())}")
+    fnorm = float(np.abs(_residual_array(x)).max())
+    if status == STALLED:
+        raise NoConvergence(f"line search stalled at residual {fnorm:.3e}")
     raise NoConvergence(f"no convergence after {max_iter} iterations "
                         f"(residual {fnorm:.3e})")
 
@@ -197,14 +168,14 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     if len(bounds) != 4 or any(lo >= hi for lo, hi in bounds):
         raise ValueError("box must be four (lo, hi) pairs with lo < hi")
 
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
+    lows, highs = np.array(bounds).T
     children = np.random.SeedSequence(rng_seed).spawn(seed_count)
     seeds = np.empty((seed_count, 4))
     for i, child in enumerate(children):
         seeds[i] = np.random.default_rng(child).uniform(lows, highs)
 
-    roots = _newton_sweep(seeds, tol, max_iter)
+    x, status = _newton_sweep(seeds, tol, max_iter)
+    roots = x[status == CONVERGED]
 
     representatives: list[np.ndarray] = []
     for row in roots[np.lexsort(roots.T[::-1])]:
@@ -220,105 +191,60 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     return sorted(solutions)
 
 
-def _newton_sweep(seeds: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Run the damped Newton iteration on every seed in lockstep.
+def _newton_sweep(seeds: np.ndarray, tol: float,
+                  max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton iteration on every row of seeds, in lockstep.
 
-    Mirrors newton_solve exactly (same damping schedule, same singularity
-    and stall handling) but advances all active seeds per pass.  Returns
-    the converged iterates as an (m, 4) array.
+    Each pass advances all still-active seeds by one step.  The step is
+    damped by the first of 1, 1/2, ..., 2**-20 that lowers the residual
+    max-norm.  A seed stops as CONVERGED once that norm is <= tol, as
+    SINGULAR when its equilibrated Jacobian determinant falls below 1e-14,
+    as STALLED when no damping lowers the norm, and as BUDGET when max_iter
+    steps leave it above tol.  Returns the final iterates, shape (m, 4),
+    and the per-seed status codes.
     """
-    ACTIVE, CONVERGED, FAILED = 0, 1, 2
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     x = np.array(seeds, dtype=float)
     f = _residual_array(x)
     fnorm = np.abs(f).max(axis=1)
-    status = np.full(x.shape[0], ACTIVE)
+    status = np.full(x.shape[0], BUDGET)
     status[fnorm <= tol] = CONVERGED
 
     for _ in range(max_iter):
-        active = np.flatnonzero(status == ACTIVE)
-        if active.size == 0:
-            break
-        jac = _jacobian_array(x[active])
-        singular = np.abs(_scaled_dets(jac)) < _SINGULAR_DET
-        status[active[singular]] = FAILED
-        live = active[~singular]
+        live = np.flatnonzero(status == BUDGET)
         if live.size == 0:
-            continue
-        step = np.linalg.solve(jac[~singular], -f[live][..., None])[..., 0]
+            break
+        jac = _jacobian_array(x[live])
+        singular = np.abs(_scaled_dets(jac)) < _SINGULAR_DET
+        if singular.any():
+            status[live[singular]] = SINGULAR
+            live, jac = live[~singular], jac[~singular]
+            if live.size == 0:
+                continue
+        step = np.linalg.solve(jac, -f[live][..., None])[..., 0]
 
-        damping = np.ones(live.size)
-        accepted = np.zeros(live.size, dtype=bool)
-        x_next = x[live].copy()
-        f_next = f[live].copy()
-        fnorm_next = fnorm[live].copy()
-        for _halving in range(21):  # damping 1, 1/2, ..., 2**-20
-            pending = np.flatnonzero(~accepted)
-            if pending.size == 0:
-                break
-            trial = x[live][pending] + damping[pending, None] * step[pending]
+        searching = live  # seeds whose step no damping has accepted yet
+        for damping in _DAMPING_BLOCKS:
+            trial = x[searching, None, :] + damping * step[:, None, :]
             f_trial = _residual_array(trial)
-            fnorm_trial = np.abs(f_trial).max(axis=1)
-            better = fnorm_trial < fnorm[live][pending]
-            hit = pending[better]
-            x_next[hit] = trial[better]
-            f_next[hit] = f_trial[better]
-            fnorm_next[hit] = fnorm_trial[better]
-            accepted[hit] = True
-            damping[pending[~better]] *= 0.5
-        status[live[~accepted]] = FAILED  # stalled at minimum damping
+            fnorm_trial = np.abs(f_trial).max(axis=-1)
+            better = fnorm_trial < fnorm[searching, None]
+            hit = better.any(axis=1)
+            first = better[hit].argmax(axis=1)
+            done = searching[hit]
+            x[done] = trial[hit, first]
+            f[done] = f_trial[hit, first]
+            fnorm[done] = fnorm_trial[hit, first]
+            searching, step = searching[~hit], step[~hit]
+            if searching.size == 0:
+                break
+        status[searching] = STALLED
+        status[live[fnorm[live] <= tol]] = CONVERGED
 
-        moved = np.flatnonzero(accepted)
-        idx = live[moved]
-        x[idx] = x_next[moved]
-        f[idx] = f_next[moved]
-        fnorm[idx] = fnorm_next[moved]
-        status[idx[fnorm_next[moved] <= tol]] = CONVERGED
-
-    return x[status == CONVERGED]
-
-
-def _is_nondegenerate(params: RhombusParams) -> bool:
-    from .layout import rhombus_layout  # deferred: layout imports this module
-
-    if not (params.h > 0.0 and params.k > 0.0):
-        return False
-    pts = rhombus_layout(params).positions
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dx = pts[i][0] - pts[j][0]
-            dy = pts[i][1] - pts[j][1]
-            if dx * dx + dy * dy < _DISTINCT_VERTEX_TOL ** 2:
-                return False
-    return True
-
-
-def check_reflection_pair(a: RhombusParams, b: RhombusParams,
-                          tol: float = 1e-9) -> bool:
-    """True iff drawing(b) is drawing(a) mirrored in the line y = x.
-
-    The mirrored point set of a must equal the point set of b as multisets
-    (per-coordinate within tol, matched one to one), and the induced vertex
-    correspondence must preserve adjacency.  Ambiguous matches (two vertices
-    of b within tol of one mirrored point) fail the check.
-    """
-    from .layout import rhombus_layout  # deferred: layout imports this module
-
-    drawing_a = rhombus_layout(a)
-    drawing_b = rhombus_layout(b)
-    mirrored = [(y, x) for (x, y) in drawing_a.positions]
-    matched: list[int] = []
-    used: set[int] = set()
-    for mx, my in mirrored:
-        hits = [w for w, (bx, by) in enumerate(drawing_b.positions)
-                if w not in used and abs(bx - mx) <= tol and abs(by - my) <= tol]
-        if len(hits) != 1:
-            return False
-        matched.append(hits[0])
-        used.add(hits[0])
-    edge_set = drawing_b.graph.edge_set
-    return all(((matched[u], matched[v]) if matched[u] < matched[v]
-                else (matched[v], matched[u])) in edge_set
-               for u, v in drawing_a.graph.edges)
+    return x, status
 
 
 def solution_to_json_dict(params: RhombusParams) -> dict:

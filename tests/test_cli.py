@@ -56,6 +56,26 @@ class TestLayout:
     def test_missing_solutions_file(self, tmp_path):
         assert main(["layout", "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"h": 1.1, "k": 1.6, "p": 0.9, "q": 0.1}',
+        '[{"h": 1.1, "p": 0.9, "q": 0.1}]',
+        '[{"h": "x", "k": 1.6, "p": 0.9, "q": 0.1}]',
+        '[{"h": "nan", "k": 1.6, "p": 0.9, "q": 0.1}]',
+    ], ids=["object", "no-k", "h-not-a-number", "h-nan"])
+    def test_malformed_solutions_file_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "solutions.json"
+        path.write_text(text)
+        assert main(["layout", "--solutions", str(path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "not a solutions artifact" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_solutions_list_is_a_verdict(self, tmp_path):
+        path = tmp_path / "solutions.json"
+        path.write_text("[]")
+        assert main(["layout", "--solutions", str(path),
+                     "--out-dir", str(tmp_path)]) == 2
+
 
 class TestVerify:
     def test_faithful_drawing_passes(self, pipeline_dir, tmp_path, capsys):
@@ -136,6 +156,20 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "0"), ("--seeds", "-3"), ("--rng-seed", "-1"),
+        ("--edge-tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
+        ("--edge-tol", "nan"), ("--gap-threshold", "nan"),
+    ])
+    def test_out_of_range_number_is_usage_error(self, tmp_path, capsys,
+                                                flag, value):
+        code = main(["all", flag, value, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_file(self, tmp_path, capsys):
         code = main(["verify", str(tmp_path / "nope.json"),

@@ -1,0 +1,49 @@
+"""The package's import graph: module-level imports only, and no cycle."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unitdist"
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Modules of the package that tree imports (the package is __init__)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                found.add(node.module.split(".")[0])
+            else:  # from . import name: a submodule or a package attribute
+                found.update(a.name if a.name in MODULES else "__init__"
+                             for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").startswith("unitdist"):
+                found.add(node.module.partition(".")[2] or "__init__")
+        elif isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[2] or "__init__"
+                         for a in node.names if a.name.startswith("unitdist"))
+    return found
+
+
+def test_no_import_inside_a_function():
+    nested = [f"{name}.py:{node.lineno} in {fn.name}()"
+              for name, tree in MODULES.items()
+              for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
+
+
+def test_import_graph_is_acyclic():
+    graph = {name: _imported_modules(tree) for name, tree in MODULES.items()}
+    assert "layout" in graph["solver"] and "graph" in graph["layout"]
+    remaining = dict(graph)
+    while remaining:
+        leaves = [m for m, deps in remaining.items()
+                  if not deps & remaining.keys()]
+        assert leaves, f"import cycle among {sorted(remaining)}"
+        for m in leaves:
+            del remaining[m]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import KNOWN_SOLUTION, REFERENCE_6DP, REFLECTED_SOLUTION
-from unitdist.solver import (NoConvergence, RhombusParams, SingularJacobian,
-                             SolverError, check_reflection_pair,
-                             enumerate_solutions, jacobian, newton_solve,
-                             residual, solution_from_json_dict,
-                             solution_to_json_dict)
+from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_MAX_ITER, DEFAULT_TOL,
+                             SINGULAR, STALLED, NoConvergence, RhombusParams,
+                             SingularJacobian, SolverError, _newton_sweep,
+                             check_reflection_pair, enumerate_solutions,
+                             jacobian, newton_solve, residual,
+                             solution_from_json_dict, solution_to_json_dict)
 
 
 class TestResidual:
@@ -99,6 +100,49 @@ class TestNewtonSolve:
     def test_exhausts_iteration_budget(self):
         with pytest.raises(NoConvergence):
             newton_solve(RhombusParams(2.5, 2.5, 2.5, 2.5), tol=1e-12, max_iter=1)
+
+
+class TestSharedSweep:
+    """newton_solve is the one-row case of the lockstep sweep."""
+
+    ERRORS = {SINGULAR: SingularJacobian, STALLED: NoConvergence,
+              BUDGET: NoConvergence}
+
+    def test_each_newton_solve_matches_its_row_of_one_sweep(self):
+        starts = np.random.default_rng(11).uniform(-3.0, 3.0, (200, 4))
+        final, status = _newton_sweep(starts, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert set(status.tolist()) >= {CONVERGED, STALLED}
+        for row, x, code in zip(starts.tolist(), final.tolist(), status.tolist()):
+            if code == CONVERGED:
+                assert newton_solve(RhombusParams(*row)).as_tuple() == tuple(x)
+            else:
+                with pytest.raises(SolverError) as info:
+                    newton_solve(RhombusParams(*row))
+                assert type(info.value) is self.ERRORS[code]
+
+    def test_origin_raises_exactly_singular_jacobian(self):
+        with pytest.raises(SingularJacobian):
+            newton_solve(RhombusParams(0.0, 0.0, 0.0, 0.0))
+
+    def test_stalling_start_reports_the_stall(self):
+        seed = RhombusParams(-2.0, -2.0, -2.0, -2.0)
+        _, status = _newton_sweep([seed.as_tuple()], DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert status.tolist() == [STALLED]
+        with pytest.raises(NoConvergence, match="stalled"):
+            newton_solve(seed)
+
+    def test_budget_status_reports_the_iteration_count(self):
+        seed = RhombusParams(-1.0, -0.5, -2.0, 0.0)
+        _, status = _newton_sweep([seed.as_tuple()], DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert status.tolist() == [BUDGET]
+        with pytest.raises(NoConvergence, match="after 100 iterations"):
+            newton_solve(seed)
+
+    def test_enumerate_rejects_bad_tolerance_and_budget(self):
+        with pytest.raises(ValueError):
+            enumerate_solutions(seed_count=10, tol=0.0)
+        with pytest.raises(ValueError):
+            enumerate_solutions(seed_count=10, max_iter=0)
 
 
 class TestEnumerateSolutions:
