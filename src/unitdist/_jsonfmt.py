@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 
+_INDENT = 2
+
 
 def format_float(value: float) -> str:
     if math.isnan(value) or math.isinf(value):
@@ -21,15 +23,15 @@ def format_float(value: float) -> str:
     return text
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Serialize dicts/lists/scalars; dict keys keep insertion order."""
     pieces: list[str] = []
-    _emit(obj, indent, 0, pieces)
+    _emit(obj, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _emit(obj, indent: int, level: int, out: list[str]) -> None:
+def _emit(obj, level: int, out: list[str]) -> None:
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -44,25 +46,25 @@ def _emit(obj, indent: int, level: int, out: list[str]) -> None:
         if not obj:
             out.append("{}")
             return
-        pad = " " * (indent * (level + 1))
+        pad = " " * (_INDENT * (level + 1))
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
             out.append(pad + json.dumps(key) + ": ")
-            _emit(value, indent, level + 1, out)
+            _emit(value, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(" " * (indent * level) + "}")
+        out.append(" " * (_INDENT * level) + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
-        pad = " " * (indent * (level + 1))
+        pad = " " * (_INDENT * (level + 1))
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _emit(value, indent, level + 1, out)
+            _emit(value, level + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(" " * (indent * level) + "]")
+        out.append(" " * (_INDENT * level) + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -153,6 +153,8 @@ def _read(path: Path, kind: str):
         raise _InputError(f"input file {path} not found") from None
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise _InputError(f"{path} is nested too deeply") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise _InputError(f"{path} is not a {kind} artifact: {exc}") from None
 
@@ -308,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(args)
-    except _InputError as exc:
+    except (_InputError, OSError) as exc:
         print(f"unitdist: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 from typing import NamedTuple
 
 from .graph import Bipartition
@@ -80,9 +81,9 @@ class IncidenceStructure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncidenceStructure":
-        point_labels = tuple(int(v) for v in data["point_labels"])
-        circle_labels = tuple(int(v) for v in data["circle_labels"])
-        pairs = {(int(a), int(b)) for a, b in data["incidences"]}
+        point_labels = tuple(index(v) for v in data["point_labels"])
+        circle_labels = tuple(index(v) for v in data["circle_labels"])
+        pairs = {(index(a), index(b)) for a, b in data["incidences"]}
         incidence = tuple(
             tuple((pl, cl) in pairs for cl in circle_labels)
             for pl in point_labels)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import index, itemgetter
 
 
 class NotBipartiteError(ValueError):
@@ -69,8 +69,9 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        return cls(int(data["n_vertices"]),
-                   tuple((int(u), int(v)) for u, v in data["edges"]))
+        # index(), unlike int(), rejects a float instead of truncating it
+        return cls(index(data["n_vertices"]),
+                   tuple((index(u), index(v)) for u, v in data["edges"]))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,12 @@ unknowns of RhombusParams, which the solver finds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .graph import Graph, generalized_petersen
 
 _DISTINCT_VERTEX_TOL = 1e-6
+_REFLECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -54,10 +55,7 @@ class Drawing:
         object.__setattr__(self, "positions", pos)
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_json_dict(),
-            "positions": [list(p) for p in self.positions],
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Drawing":
@@ -110,14 +108,13 @@ def _is_nondegenerate(params: RhombusParams) -> bool:
     return True
 
 
-def check_reflection_pair(a: RhombusParams, b: RhombusParams,
-                          tol: float = 1e-9) -> bool:
+def check_reflection_pair(a: RhombusParams, b: RhombusParams) -> bool:
     """True iff drawing(b) is drawing(a) mirrored in the line y = x.
 
     The mirrored point set of a must equal the point set of b as multisets
-    (per-coordinate within tol, matched one to one), and the induced vertex
+    (per-coordinate within 1e-9, matched one to one), and the induced vertex
     correspondence must preserve adjacency.  Ambiguous matches (two vertices
-    of b within tol of one mirrored point) fail the check.
+    of b within 1e-9 of one mirrored point) fail the check.
     """
     drawing_a = rhombus_layout(a)
     drawing_b = rhombus_layout(b)
@@ -126,7 +123,8 @@ def check_reflection_pair(a: RhombusParams, b: RhombusParams,
     used: set[int] = set()
     for mx, my in mirrored:
         hits = [w for w, (bx, by) in enumerate(drawing_b.positions)
-                if w not in used and abs(bx - mx) <= tol and abs(by - my) <= tol]
+                if w not in used and abs(bx - mx) <= _REFLECTION_TOL
+                and abs(by - my) <= _REFLECTION_TOL]
         if len(hits) != 1:
             return False
         matched.append(hits[0])

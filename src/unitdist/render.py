@@ -14,20 +14,20 @@ from dataclasses import dataclass
 from .configuration import IncidenceStructure
 from .layout import Drawing
 
+_VERTEX_RADIUS = 4.0             # pixels
+_STROKE_WIDTH = 1.5              # edges and rings
+_FONT_SIZE = 11.0
+_EDGE_COLOR = "#37474f"
+_VERTEX_COLOR = "#c62828"
+_CIRCLE_COLOR = "#1565c0"
+_LABEL_COLOR = "#212121"
+
 
 @dataclass(frozen=True)
 class RenderStyle:
     scale: float = 120.0          # pixels per unit length
     margin: float = 40.0          # pixels around the bounding box
-    vertex_radius: float = 4.0    # pixels
     show_labels: bool = True
-    edge_width: float = 1.5
-    circle_width: float = 1.5
-    edge_color: str = "#37474f"
-    vertex_color: str = "#c62828"
-    circle_color: str = "#1565c0"
-    label_color: str = "#212121"
-    font_size: float = 11.0
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -64,29 +64,29 @@ class _Canvas:
         (x1, y1), (x2, y2) = self.to_px(a), self.to_px(b)
         self.body.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-            f'y2="{_fmt(y2)}" stroke="{self.style.edge_color}" '
-            f'stroke-width="{_fmt(self.style.edge_width)}" />')
+            f'y2="{_fmt(y2)}" stroke="{_EDGE_COLOR}" '
+            f'stroke-width="{_fmt(_STROKE_WIDTH)}" />')
 
-    def disc(self, center, radius_px: float, color: str) -> None:
+    def disc(self, center) -> None:
         cx, cy = self.to_px(center)
         self.body.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius_px)}" '
-            f'fill="{color}" />')
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(_VERTEX_RADIUS)}" '
+            f'fill="{_VERTEX_COLOR}" />')
 
-    def ring(self, center, radius_px: float) -> None:
+    def ring(self, center) -> None:
+        """A unit circle, whose radius in pixels is the scale."""
         cx, cy = self.to_px(center)
         self.body.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius_px)}" '
-            f'fill="none" stroke="{self.style.circle_color}" '
-            f'stroke-width="{_fmt(self.style.circle_width)}" />')
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(self.style.scale)}" '
+            f'fill="none" stroke="{_CIRCLE_COLOR}" '
+            f'stroke-width="{_fmt(_STROKE_WIDTH)}" />')
 
     def label(self, center, text: str) -> None:
         cx, cy = self.to_px(center)
-        offset = self.style.vertex_radius + 3.0
+        offset = _VERTEX_RADIUS + 3.0
         self.body.append(
             f'<text x="{_fmt(cx + offset)}" y="{_fmt(cy - offset)}" '
-            f'fill="{self.style.label_color}" '
-            f'font-size="{_fmt(self.style.font_size)}" '
+            f'fill="{_LABEL_COLOR}" font-size="{_fmt(_FONT_SIZE)}" '
             f'font-family="sans-serif">{text}</text>')
 
     def document(self) -> str:
@@ -105,7 +105,7 @@ def render_drawing(d: Drawing, style: RenderStyle = RenderStyle()) -> str:
     for u, v in d.graph.edges:  # already sorted
         canvas.line(d.positions[u], d.positions[v])
     for v in range(d.graph.n_vertices):
-        canvas.disc(d.positions[v], style.vertex_radius, style.vertex_color)
+        canvas.disc(d.positions[v])
     if style.show_labels:
         for v in range(d.graph.n_vertices):
             canvas.label(d.positions[v], str(v))
@@ -115,17 +115,14 @@ def render_drawing(d: Drawing, style: RenderStyle = RenderStyle()) -> str:
 def render_configuration(s: IncidenceStructure,
                          style: RenderStyle = RenderStyle()) -> str:
     """SVG for a point-circle structure: unit rings plus point discs."""
-    for circle in s.circles:
-        if circle.radius != 1.0:
-            raise ValueError("render_configuration requires unit radii")
     xs = [p[0] for p in s.points] + [c.center[0] for c in s.circles]
     ys = [p[1] for p in s.points] + [c.center[1] for c in s.circles]
     # pad by the unit radius so rings stay inside the canvas
     canvas = _Canvas(xs, ys, 1.0 if s.circles else 0.0, style)
     for circle in s.circles:
-        canvas.ring(circle.center, style.scale)
+        canvas.ring(circle.center)
     for pt in s.points:
-        canvas.disc(pt, style.vertex_radius, style.vertex_color)
+        canvas.disc(pt)
     if style.show_labels:
         for j, circle in enumerate(s.circles):
             canvas.label(circle.center, str(s.circle_labels[j]))

@@ -177,11 +177,13 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     x, status = _newton_sweep(seeds, tol, max_iter)
     roots = x[status == CONVERGED]
 
+    # the first remaining sorted row represents every row within dedupe_tol
+    remaining = roots[np.lexsort(roots.T[::-1])]
     representatives: list[np.ndarray] = []
-    for row in roots[np.lexsort(roots.T[::-1])]:
-        if all(float(np.abs(row - rep).max()) >= dedupe_tol
-               for rep in representatives):
-            representatives.append(row)
+    while len(remaining):
+        representatives.append(remaining[0])
+        remaining = remaining[np.abs(remaining - remaining[0]).max(axis=1)
+                              >= dedupe_tol]
 
     solutions = []
     for row in representatives:

@@ -14,7 +14,7 @@ predicates, so reports are stable under rigid motions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .layout import Drawing
@@ -42,12 +42,12 @@ class Degeneracy:
     kind: str
     witness: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "witness": list(self.witness)}
-
 
 @dataclass(frozen=True)
 class FaithfulnessReport:
+    # the field order is the key order of the report's JSON
+    is_unit_distance: bool
+    is_faithful: bool
     max_edge_residual: float
     max_edge_residual_witness: tuple[int, int] | None
     min_nonedge_gap: float
@@ -55,32 +55,13 @@ class FaithfulnessReport:
     min_vertex_separation: float
     min_vertex_separation_witness: tuple[int, int] | None
     degeneracies: tuple[Degeneracy, ...]
-    is_unit_distance: bool
-    is_faithful: bool
     edge_tol: float
     gap_threshold: float
     n_edges: int
     n_nonadjacent_pairs: int
 
     def to_json_dict(self) -> dict:
-        def _pair(w):
-            return list(w) if w is not None else None
-
-        return {
-            "is_unit_distance": self.is_unit_distance,
-            "is_faithful": self.is_faithful,
-            "max_edge_residual": self.max_edge_residual,
-            "max_edge_residual_witness": _pair(self.max_edge_residual_witness),
-            "min_nonedge_gap": self.min_nonedge_gap,
-            "min_nonedge_gap_witness": _pair(self.min_nonedge_gap_witness),
-            "min_vertex_separation": self.min_vertex_separation,
-            "min_vertex_separation_witness": _pair(self.min_vertex_separation_witness),
-            "degeneracies": [d.to_json_dict() for d in self.degeneracies],
-            "edge_tol": self.edge_tol,
-            "gap_threshold": self.gap_threshold,
-            "n_edges": self.n_edges,
-            "n_nonadjacent_pairs": self.n_nonadjacent_pairs,
-        }
+        return asdict(self)
 
 
 def point_on_segment_interior(pt: Point, a: Point, b: Point,
@@ -130,8 +111,7 @@ def _near_line(pt: Point, a: Point, b: Point, tol: float) -> bool:
 
 
 def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
-           gap_threshold: float = DEFAULT_GAP_THRESHOLD,
-           degeneracy_tol: float = DEFAULT_DEGENERACY_TOL) -> FaithfulnessReport:
+           gap_threshold: float = DEFAULT_GAP_THRESHOLD) -> FaithfulnessReport:
     """Exhaustive faithfulness certificate for a drawing.
 
     Scans all vertex pairs for edge residuals, non-edge gaps and coincident
@@ -167,22 +147,21 @@ def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
             gap = abs(dist - 1.0)
             if gap < min_gap:
                 min_gap, gap_witness = gap, (i, j)
-        if dist < degeneracy_tol:
+        if dist < DEFAULT_DEGENERACY_TOL:
             degeneracies.append(Degeneracy(COINCIDENT_VERTICES, (i, j)))
 
     # Degenerate (zero-length) edges are already reported as coincident
     # vertices; skip them in the segment predicates below.
     solid_edges = [e for e in d.graph.edges
-                   if math.dist(pos[e[0]], pos[e[1]]) > degeneracy_tol]
+                   if math.dist(pos[e[0]], pos[e[1]]) > DEFAULT_DEGENERACY_TOL]
     for a, b in solid_edges:
         for v in range(n):
             if v == a or v == b:
                 continue
-            if point_on_segment_interior(pos[v], pos[a], pos[b], degeneracy_tol):
+            if point_on_segment_interior(pos[v], pos[a], pos[b]):
                 degeneracies.append(Degeneracy(VERTEX_ON_EDGE_INTERIOR, (v, a, b)))
     for e1, e2 in combinations(solid_edges, 2):
-        if segments_overlap(pos[e1[0]], pos[e1[1]], pos[e2[0]], pos[e2[1]],
-                            degeneracy_tol):
+        if segments_overlap(pos[e1[0]], pos[e1[1]], pos[e2[0]], pos[e2[1]]):
             degeneracies.append(
                 Degeneracy(COLLINEAR_OVERLAPPING_EDGES, e1 + e2))
 
@@ -190,6 +169,8 @@ def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
     is_unit = max_edge_residual <= edge_tol
     faithful = is_unit and min_gap >= gap_threshold and not degeneracies
     return FaithfulnessReport(
+        is_unit_distance=is_unit,
+        is_faithful=faithful,
         max_edge_residual=max_edge_residual,
         max_edge_residual_witness=edge_witness,
         min_nonedge_gap=min_gap,
@@ -197,8 +178,6 @@ def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
         min_vertex_separation=min_sep,
         min_vertex_separation_witness=sep_witness,
         degeneracies=tuple(degeneracies),
-        is_unit_distance=is_unit,
-        is_faithful=faithful,
         edge_tol=edge_tol,
         gap_threshold=gap_threshold,
         n_edges=n_edges,

@@ -182,3 +182,42 @@ class TestUsageErrors:
         code = main(["config", str(pipeline_dir / "solutions.json"),
                      "--out-dir", str(tmp_path)])
         assert code == 1
+
+    def test_directory_as_input_is_usage_error(self, tmp_path, capsys):
+        code = main(["verify", str(tmp_path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unitdist: error:" in err and "Traceback" not in err
+
+    def test_out_dir_naming_a_file_is_usage_error(self, pipeline_dir, tmp_path,
+                                                   capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        code = main(["layout", "--solutions", str(pipeline_dir / "solutions.json"),
+                     "--out-dir", str(a_file)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unitdist: error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("verify", "[" * 200_000 + "]" * 200_000),
+        ("verify", '{"graph": {"n_vertices": 1e400, "edges": []}, '
+                   '"positions": []}'),
+        ("verify", '{"graph": {"n_vertices": 2, "edges": [[0, 1.5]]}, '
+                   '"positions": [[0, 0], [1, 0]]}'),
+        ("--configuration", '{"points": [[0, 0]], "centers": [[1, 0]], '
+                            '"radius": 1.0, "point_labels": [0.5], '
+                            '"circle_labels": [1], "incidences": []}'),
+    ], ids=["too-deep", "overflowing-count", "float-vertex-id",
+            "float-point-label"])
+    def test_adversarial_artifact_is_usage_error(self, tmp_path, capsys,
+                                                 command, text):
+        path = tmp_path / "artifact.json"
+        path.write_text(text)
+        args = ([command, str(path)] if command == "verify"
+                else ["render", command, str(path)])
+        code = main([*args, "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unitdist: error:" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()

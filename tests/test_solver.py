@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import KNOWN_SOLUTION, REFERENCE_6DP, REFLECTED_SOLUTION
-from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_MAX_ITER, DEFAULT_TOL,
-                             SINGULAR, STALLED, NoConvergence, RhombusParams,
-                             SingularJacobian, SolverError, _newton_sweep,
-                             check_reflection_pair, enumerate_solutions,
-                             jacobian, newton_solve, residual,
-                             solution_from_json_dict, solution_to_json_dict)
+from unitdist.layout import _is_nondegenerate
+from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_BOX, DEFAULT_MAX_ITER,
+                             DEFAULT_TOL, SINGULAR, STALLED, NoConvergence,
+                             RhombusParams, SingularJacobian, SolverError,
+                             _newton_sweep, check_reflection_pair,
+                             enumerate_solutions, jacobian, newton_solve,
+                             residual, solution_from_json_dict,
+                             solution_to_json_dict)
 
 
 class TestResidual:
@@ -185,6 +187,34 @@ class TestEnumerateSolutions:
         assert abs(b.k - a.h) < 1e-9
         assert abs(b.p + a.q) < 1e-9
         assert abs(b.q + a.p) < 1e-9
+
+
+def _greedy_dedupe_reference(seed_count, rng_seed, dedupe_tol):
+    """enumerate_solutions with the row-by-row greedy dedupe loop."""
+    lows, highs = np.array(DEFAULT_BOX).T
+    seeds = np.array([np.random.default_rng(child).uniform(lows, highs)
+                      for child in np.random.SeedSequence(rng_seed).spawn(seed_count)])
+    x, status = _newton_sweep(seeds, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    roots = x[status == CONVERGED]
+    representatives = []
+    for row in roots[np.lexsort(roots.T[::-1])]:
+        if all(float(np.abs(row - rep).max()) >= dedupe_tol
+               for rep in representatives):
+            representatives.append(row)
+    return sorted(params for params in
+                  (RhombusParams(*row.tolist()) for row in representatives)
+                  if _is_nondegenerate(params))
+
+
+@pytest.mark.parametrize("seed_count, rng_seed", [(200, 0), (600, 1), (600, 5)])
+# at 1.5 the first degenerate root's representative absorbs one faithful
+# root; the other lies within 1.5 of that absorbed root, so only a dedupe
+# that compares with representatives, not with every row, keeps it
+@pytest.mark.parametrize("dedupe_tol", [1e-6, 1e-2, 0.5, 1.5])
+def test_dedupe_keeps_the_greedy_representatives(seed_count, rng_seed, dedupe_tol):
+    assert enumerate_solutions(seed_count=seed_count, rng_seed=rng_seed,
+                               dedupe_tol=dedupe_tol) == \
+        _greedy_dedupe_reference(seed_count, rng_seed, dedupe_tol)
 
 
 class TestCheckReflectionPair:

@@ -19,6 +19,16 @@ from unitdist.verifier import (COINCIDENT_VERTICES,
 
 
 class TestFaithfulDrawing:
+    def test_json_key_order(self, faithful_drawing):
+        # the key order fixes the bytes of every *_report.json
+        assert list(verify(faithful_drawing).to_json_dict()) == [
+            "is_unit_distance", "is_faithful",
+            "max_edge_residual", "max_edge_residual_witness",
+            "min_nonedge_gap", "min_nonedge_gap_witness",
+            "min_vertex_separation", "min_vertex_separation_witness",
+            "degeneracies", "edge_tol", "gap_threshold",
+            "n_edges", "n_nonadjacent_pairs"]
+
     def test_certificate(self, faithful_drawing):
         report = verify(faithful_drawing)
         assert report.is_unit_distance
