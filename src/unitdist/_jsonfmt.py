@@ -4,14 +4,33 @@ The stdlib json module formats floats with repr(), whose digit count varies
 by value.  Artifacts here must be byte-identical across runs, so floats are
 always written with 17 significant digits (enough for an exact float64
 round trip).  Non-finite floats become null.
+
+json_number and json_index are the artifact readers' checks on parsed
+values: a JSON string or boolean is neither a number nor an index.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import index
 
 _INDENT = 2
+
+
+def json_number(value) -> float:
+    """A parsed JSON number as a float; TypeError for any other value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def json_index(value) -> int:
+    """A parsed JSON integer; TypeError for a float, string or boolean."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got bool")
+    # index(), unlike int(), rejects a float instead of truncating it
+    return index(value)
 
 
 def format_float(value: float) -> str:

@@ -155,7 +155,7 @@ def _read(path: Path, kind: str):
         raise _InputError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise _InputError(f"{path} is nested too deeply") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _InputError(f"{path} is not a {kind} artifact: {exc}") from None
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from operator import index
 from typing import NamedTuple
 
+from ._jsonfmt import json_index, json_number
 from .graph import Bipartition
 from .layout import Drawing
 from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD, verify)
@@ -81,15 +81,17 @@ class IncidenceStructure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncidenceStructure":
-        point_labels = tuple(index(v) for v in data["point_labels"])
-        circle_labels = tuple(index(v) for v in data["circle_labels"])
-        pairs = {(index(a), index(b)) for a, b in data["incidences"]}
+        point_labels = tuple(json_index(v) for v in data["point_labels"])
+        circle_labels = tuple(json_index(v) for v in data["circle_labels"])
+        radius = json_number(data["radius"])
+        pairs = {(json_index(a), json_index(b)) for a, b in data["incidences"]}
         incidence = tuple(
             tuple((pl, cl) in pairs for cl in circle_labels)
             for pl in point_labels)
         return cls(
-            points=tuple((float(x), float(y)) for x, y in data["points"]),
-            circles=tuple(Circle((float(x), float(y)), float(data["radius"]))
+            points=tuple((json_number(x), json_number(y))
+                         for x, y in data["points"]),
+            circles=tuple(Circle((json_number(x), json_number(y)), radius)
                           for x, y in data["centers"]),
             incidence=incidence,
             point_labels=point_labels,

@@ -11,7 +11,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index, itemgetter
+from operator import itemgetter
+
+from ._jsonfmt import json_index
 
 
 class NotBipartiteError(ValueError):
@@ -69,9 +71,8 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        # index(), unlike int(), rejects a float instead of truncating it
-        return cls(index(data["n_vertices"]),
-                   tuple((index(u), index(v)) for u, v in data["edges"]))
+        return cls(json_index(data["n_vertices"]),
+                   tuple((json_index(u), json_index(v)) for u, v in data["edges"]))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from ._jsonfmt import json_number
 from .graph import Graph, generalized_petersen
 
 _DISTINCT_VERTEX_TOL = 1e-6
@@ -59,7 +60,9 @@ class Drawing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Drawing":
-        return cls(Graph.from_json_dict(data["graph"]), data["positions"])
+        return cls(Graph.from_json_dict(data["graph"]),
+                   tuple((json_number(x), json_number(y))
+                         for x, y in data["positions"]))
 
 
 def rhombus_layout(params: RhombusParams) -> Drawing:

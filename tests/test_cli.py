@@ -221,3 +221,74 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "unitdist: error:" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+def _strings(data):
+    data["positions"] = [[repr(x), repr(y)] for x, y in data["positions"]]
+
+
+def _bool_coordinate(data):
+    data["positions"][0][0] = bool(data["positions"][0][0])  # vertex 0: x = 0
+
+
+def _bool_vertex_id(data):
+    data["graph"]["edges"][0][0] = bool(data["graph"]["edges"][0][0])
+
+
+def _huge_integer_coordinate(data):
+    data["positions"][0][0] = 10 ** 400
+
+
+def _string_parameters(data):
+    for entry in data:
+        for key in "hkpq":
+            entry[key] = repr(entry[key])
+
+
+def _string_radius(data):
+    data["radius"] = "1.0"
+
+
+def _bool_radius(data):
+    data["radius"] = True
+
+
+def _bool_point_label(data):
+    data["point_labels"][1] = True
+    data["incidences"] = [[True if a == 1 else a, b]
+                          for a, b in data["incidences"]]
+
+
+def _string_point(data):
+    data["points"][0] = [repr(v) for v in data["points"][0]]
+
+
+class TestStringsAndBooleansAreNotNumbers:
+    """Apart from the huge integer, each edited artifact holds the valid
+    one's values, so float() and operator.index() would read it as valid."""
+
+    @pytest.mark.parametrize("artifact, command, edit", [
+        ("drawing.json", "verify", _strings),
+        ("drawing.json", "verify", _bool_coordinate),
+        ("drawing.json", "verify", _bool_vertex_id),
+        ("drawing.json", "verify", _huge_integer_coordinate),
+        ("solutions.json", "layout", _string_parameters),
+        ("config_centers_a.json", "render", _string_radius),
+        ("config_centers_a.json", "render", _bool_radius),
+        ("config_centers_a.json", "render", _bool_point_label),
+        ("config_centers_a.json", "render", _string_point),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_usage_error(self, pipeline_dir, tmp_path, capsys,
+                         artifact, command, edit):
+        data = json.loads((pipeline_dir / artifact).read_text())
+        edit(data)
+        path = tmp_path / artifact
+        path.write_text(json.dumps(data))
+        args = {"verify": ["verify", str(path)],
+                "layout": ["layout", "--solutions", str(path)],
+                "render": ["render", "--configuration", str(path)]}[command]
+        code = main([*args, "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unitdist: error:" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import KNOWN_SOLUTION, REFERENCE_6DP, REFLECTED_SOLUTION
+from unitdist import solver
 from unitdist.layout import _is_nondegenerate
 from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_BOX, DEFAULT_MAX_ITER,
                              DEFAULT_TOL, SINGULAR, STALLED, NoConvergence,
                              RhombusParams, SingularJacobian, SolverError,
-                             _newton_sweep, check_reflection_pair,
-                             enumerate_solutions, jacobian, newton_solve,
-                             residual, solution_from_json_dict,
-                             solution_to_json_dict)
+                             _newton_step, _newton_sweep, _residual_array,
+                             check_reflection_pair, enumerate_solutions,
+                             jacobian, newton_solve, residual,
+                             solution_from_json_dict, solution_to_json_dict)
 
 
 class TestResidual:
@@ -147,6 +148,101 @@ class TestSharedSweep:
             enumerate_solutions(seed_count=10, max_iter=0)
 
 
+def _lapack_singular(row):
+    """The singular test on the row-equilibrated Jacobian, through LAPACK."""
+    jac = jacobian(RhombusParams(*row))
+    scale = np.abs(jac).max(axis=1, keepdims=True)
+    return not scale.all() or abs(np.linalg.det(jac / scale)) < 1e-14
+
+
+def _closed_form(rows):
+    x = np.array(rows, dtype=float).T.copy()
+    return _newton_step(x, _residual_array(x))
+
+
+class TestClosedFormStep:
+    """_newton_step against np.linalg on the full 4x4 Jacobian."""
+
+    def test_step_matches_lapack_solve(self):
+        rows = np.random.default_rng(31).uniform(-3.0, 3.0, (1000, 4))
+        step, singular = _closed_form(rows)
+        assert not singular.any()
+        for row, got in zip(rows.tolist(), step.T):
+            params = RhombusParams(*row)
+            want = np.linalg.solve(jacobian(params), -np.array(residual(params)))
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_singular_verdict_matches_lapack_determinant(self):
+        # bisect det J along random segments whose ends differ in sign: the
+        # limits are numerically singular; a 1e-9 move along the segment
+        # makes the scaled determinant about 1e-9, far above 1e-14
+        rng = np.random.default_rng(32)
+        rows = []
+        for _ in range(200):
+            lo, hi = rng.uniform(-3.0, 3.0, (2, 4))
+            sign_lo = np.linalg.det(jacobian(RhombusParams(*lo.tolist())))
+            if sign_lo * np.linalg.det(jacobian(RhombusParams(*hi.tolist()))) >= 0:
+                continue
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if np.linalg.det(jacobian(RhombusParams(*mid.tolist()))) * sign_lo > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            rows += [lo.tolist(), (lo + 1e-9 * (lo - hi) / np.abs(lo - hi).max()).tolist()]
+        verdicts = [_lapack_singular(row) for row in rows]
+        assert 20 <= sum(verdicts) < len(verdicts)
+        step, singular = _closed_form(rows)
+        assert singular.tolist() == verdicts
+        assert not step[:, singular].any()
+
+    @pytest.mark.parametrize("row", [
+        (0.0, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 1.3, -0.7),    # h = k = 0: row 1 of J is zero
+        (0.7, 1.5, 0.0, 0.5),     # a = p = 0: row 2
+        (0.25, -1.1, 0.75, 0.0),  # b = q = 0: row 3
+        (1.0, 0.5, 0.5, -0.25),   # c = d = 0: row 4
+    ], ids=["origin", "h-k", "a-p", "b-q", "c-d"])
+    def test_exactly_singular_points(self, row):
+        assert _lapack_singular(row)
+        step, singular = _closed_form([row])
+        assert singular.tolist() == [True]
+        assert step.tolist() == [[0.0]] * 4
+        with pytest.raises(SingularJacobian):
+            newton_solve(RhombusParams(*row))
+
+
+class TestSeedStream:
+    """Start i is the same for any seed count and any chunking of the draw."""
+
+    @staticmethod
+    def _starts(monkeypatch, seed_count, rng_seed):
+        captured = []
+
+        def sweep(seeds, tol, max_iter):
+            captured.append(seeds)
+            return seeds, np.full(len(seeds), BUDGET)
+
+        monkeypatch.setattr(solver, "_newton_sweep", sweep)
+        assert enumerate_solutions(seed_count=seed_count, rng_seed=rng_seed) == []
+        return captured[0]
+
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_fewer_seeds_are_a_prefix(self, monkeypatch, rng_seed):
+        few = self._starts(monkeypatch, 300, rng_seed)
+        many = self._starts(monkeypatch, 1000, rng_seed)
+        assert few.shape == (300, 4)
+        assert np.array_equal(few, many[:300])
+
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_chunked_draws_concatenate_to_the_stream(self, monkeypatch, rng_seed):
+        lows, highs = np.array(DEFAULT_BOX).T
+        rng = np.random.default_rng(rng_seed)
+        chunks = [rng.uniform(lows, highs, (n, 4)) for n in (120, 180)]
+        assert np.array_equal(np.concatenate(chunks),
+                              self._starts(monkeypatch, 300, rng_seed))
+
+
 class TestEnumerateSolutions:
     def test_finds_exactly_two_nondegenerate_roots(self, solutions):
         assert len(solutions) == 2
@@ -192,8 +288,7 @@ class TestEnumerateSolutions:
 def _greedy_dedupe_reference(seed_count, rng_seed, dedupe_tol):
     """enumerate_solutions with the row-by-row greedy dedupe loop."""
     lows, highs = np.array(DEFAULT_BOX).T
-    seeds = np.array([np.random.default_rng(child).uniform(lows, highs)
-                      for child in np.random.SeedSequence(rng_seed).spawn(seed_count)])
+    seeds = np.random.default_rng(rng_seed).uniform(lows, highs, (seed_count, 4))
     x, status = _newton_sweep(seeds, DEFAULT_TOL, DEFAULT_MAX_ITER)
     roots = x[status == CONVERGED]
     representatives = []
