@@ -5,8 +5,9 @@ by value.  Artifacts here must be byte-identical across runs, so floats are
 always written with 17 significant digits (enough for an exact float64
 round trip).  Non-finite floats become null.
 
-json_number and json_index are the artifact readers' checks on parsed
-values: a JSON string or boolean is neither a number nor an index.
+json_number and json_index check every number read from an artifact, in the
+solutions reader and the Graph, Drawing and IncidenceStructure constructors:
+a string or boolean is neither a number nor an index; numbers are finite.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ _INDENT = 2
 
 
 def json_number(value) -> float:
-    """A parsed JSON number as a float; TypeError for any other value."""
+    """A finite number as a float; TypeError, ValueError or OverflowError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {type(value).__name__}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"non-finite number {number}")
+    return number
 
 
 def json_index(value) -> int:

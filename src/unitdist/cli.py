@@ -18,7 +18,7 @@ from ._jsonfmt import dumps
 from .configuration import (IncidenceStructure, IncidenceMismatchError,
                             NotFaithfulError, build_point_circle,
                             validate_configuration)
-from .graph import bipartition
+from .graph import NotBipartiteError, bipartition
 from .layout import Drawing, RhombusParams, circular_layout, rhombus_layout
 from .render import RenderStyle, render_drawing, render_configuration
 from .solver import (DEFAULT_SEED_COUNT, DEFAULT_TOL, enumerate_solutions,
@@ -133,10 +133,7 @@ def _write(path: Path, text: str) -> None:
 def _solutions_from_json(data) -> list[RhombusParams]:
     if not isinstance(data, list):
         raise TypeError("expected a list of solutions")
-    solutions = [solution_from_json_dict(entry) for entry in data]
-    if not all(math.isfinite(v) for s in solutions for v in s.as_tuple()):
-        raise ValueError("non-finite parameter")
-    return solutions
+    return [solution_from_json_dict(entry) for entry in data]
 
 
 _PARSERS = {"drawing": Drawing.from_json_dict,
@@ -214,7 +211,11 @@ def _verify(args, name: str, drawing: Drawing) -> FaithfulnessReport:
 
 def _config(args, drawing: Drawing, classes) -> dict[str, IncidenceStructure] | None:
     """A validated configuration per centres class, by name; None on a failure."""
-    bp = bipartition(drawing.graph)
+    try:
+        bp = bipartition(drawing.graph)
+    except NotBipartiteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
     structures = {}
     for cls in classes:
         try:

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from ._jsonfmt import json_index, json_number
 from .graph import Bipartition
 from .layout import Drawing
 from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD, verify)
-
-DEFAULT_INCIDENCE_TOL = DEFAULT_EDGE_TOL
 
 
 class NotFaithfulError(ValueError):
@@ -40,8 +38,8 @@ class IncidenceStructure:
     """Points, unit circles, and their boolean incidence matrix.
 
     incidence[i][j] says whether point i lies on circle j.  point_labels
-    and circle_labels carry the originating vertex ids so the structure
-    stays traceable to the drawing it came from.
+    and circle_labels carry the originating vertex ids (distinct integers)
+    so the structure stays traceable to the drawing it came from.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -51,56 +49,57 @@ class IncidenceStructure:
     circle_labels: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.incidence) != len(self.points):
-            raise ValueError("incidence must have one row per point")
-        for row in self.incidence:
-            if len(row) != len(self.circles):
-                raise ValueError("incidence rows must have one entry per circle")
-        if len(self.point_labels) != len(self.points):
-            raise ValueError("one label per point required")
-        if len(self.circle_labels) != len(self.circles):
-            raise ValueError("one label per circle required")
-        for circle in self.circles:
-            if circle.radius != 1.0:
-                raise ValueError("all circles must have radius exactly 1")
+        points = tuple((json_number(x), json_number(y)) for x, y in self.points)
+        circles = tuple(Circle((json_number(x), json_number(y)), json_number(r))
+                        for (x, y), r in self.circles)
+        point_labels = tuple(map(json_index, self.point_labels))
+        circle_labels = tuple(map(json_index, self.circle_labels))
+        v, b = len(points), len(circles)
+        if len(self.incidence) != v or any(len(row) != b for row in self.incidence):
+            raise ValueError("incidence must have one row per point and one "
+                             "entry per circle in each row")
+        if (len(point_labels), len(circle_labels)) != (v, b):
+            raise ValueError("one label per point and per circle required")
+        if len(set(point_labels + circle_labels)) != v + b:
+            raise ValueError("point and circle labels must be distinct")
+        if any(c.radius != 1.0 for c in circles):
+            raise ValueError("all circles must have radius exactly 1")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "circles", circles)
+        object.__setattr__(self, "point_labels", point_labels)
+        object.__setattr__(self, "circle_labels", circle_labels)
 
     def to_json_dict(self) -> dict:
         incidences = sorted(
-            (self.point_labels[i], self.circle_labels[j])
-            for i in range(len(self.points))
-            for j in range(len(self.circles))
-            if self.incidence[i][j])
+            [pl, cl] for pl, row in zip(self.point_labels, self.incidence)
+            for cl, hit in zip(self.circle_labels, row) if hit)
         return {
             "points": [list(p) for p in self.points],
             "centers": [list(c.center) for c in self.circles],
             "radius": 1.0,
             "point_labels": list(self.point_labels),
             "circle_labels": list(self.circle_labels),
-            "incidences": [list(pair) for pair in incidences],
+            "incidences": incidences,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IncidenceStructure":
-        point_labels = tuple(json_index(v) for v in data["point_labels"])
-        circle_labels = tuple(json_index(v) for v in data["circle_labels"])
-        radius = json_number(data["radius"])
-        pairs = {(json_index(a), json_index(b)) for a, b in data["incidences"]}
-        incidence = tuple(
-            tuple((pl, cl) in pairs for cl in circle_labels)
-            for pl in point_labels)
-        return cls(
-            points=tuple((json_number(x), json_number(y))
-                         for x, y in data["points"]),
-            circles=tuple(Circle((json_number(x), json_number(y)), radius)
-                          for x, y in data["centers"]),
-            incidence=incidence,
-            point_labels=point_labels,
-            circle_labels=circle_labels,
-        )
+        listed = sorted([json_index(a), json_index(b)] for a, b in data["incidences"])
+        pairs = set(map(tuple, listed))
+        radius = data["radius"]
+        structure = cls(data["points"],
+                        tuple(Circle(center, radius) for center in data["centers"]),
+                        tuple(tuple((pl, cl) in pairs for cl in data["circle_labels"])
+                              for pl in data["point_labels"]),
+                        data["point_labels"], data["circle_labels"])
+        # the structure keeps each (point label, circle label) pair once
+        if structure.to_json_dict()["incidences"] != listed:
+            raise ValueError("an incidence names an unknown label or repeats")
+        return structure
 
 
 def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
-                       incidence_tol: float = DEFAULT_INCIDENCE_TOL,
+                       incidence_tol: float | None = None,
                        edge_tol: float = DEFAULT_EDGE_TOL,
                        gap_threshold: float = DEFAULT_GAP_THRESHOLD
                        ) -> IncidenceStructure:
@@ -110,11 +109,13 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
     unit-circle centres; the other class supplies the points.  The drawing
     must verify as faithful (NotFaithfulError otherwise), and the metric
     incidences must coincide with graph adjacency (IncidenceMismatchError
-    otherwise, which signals a misconfigured tolerance rather than bad
-    geometry).
+    otherwise).  incidence_tol defaults to edge_tol; for a faithful drawing
+    only an incidence_tol outside [edge_tol, gap_threshold) can mismatch.
     """
     if centers_class not in ("a", "b"):
         raise ValueError("centers_class must be 'a' or 'b'")
+    if incidence_tol is None:
+        incidence_tol = edge_tol
     report = verify(d, edge_tol=edge_tol, gap_threshold=gap_threshold)
     if not report.is_faithful:
         raise NotFaithfulError(
@@ -124,28 +125,22 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
             f"{len(report.degeneracies)} degeneracies")
     center_ids = sorted(bp.class_a if centers_class == "a" else bp.class_b)
     point_ids = sorted(bp.class_b if centers_class == "a" else bp.class_a)
-    all_ids = set(center_ids) | set(point_ids)
-    if all_ids != set(range(d.graph.n_vertices)) or set(center_ids) & set(point_ids):
+    if sorted(center_ids + point_ids) != list(range(d.graph.n_vertices)):
         raise ValueError("bipartition does not partition the drawing's vertices")
 
     pos = d.positions
-    rows = []
-    for pv in point_ids:
-        row = []
-        for cv in center_ids:
-            metric = abs(math.dist(pos[pv], pos[cv]) - 1.0) <= incidence_tol
-            adjacent = d.graph.has_edge(pv, cv)
-            if metric != adjacent:
-                raise IncidenceMismatchError(
-                    f"point {pv} vs circle at {cv}: metric incidence "
-                    f"{metric} but adjacency {adjacent} "
-                    f"(incidence_tol={incidence_tol:g})")
-            row.append(metric)
-        rows.append(tuple(row))
+    for pv, cv in product(point_ids, center_ids):
+        metric = abs(math.dist(pos[pv], pos[cv]) - 1.0) <= incidence_tol
+        if metric != d.graph.has_edge(pv, cv):
+            raise IncidenceMismatchError(
+                f"point {pv} vs circle at {cv}: metric incidence "
+                f"{metric} but adjacency {not metric} "
+                f"(incidence_tol={incidence_tol:g})")
     return IncidenceStructure(
         points=tuple(pos[v] for v in point_ids),
         circles=tuple(Circle(pos[v], 1.0) for v in center_ids),
-        incidence=tuple(rows),
+        incidence=tuple(tuple(d.graph.has_edge(pv, cv) for cv in center_ids)
+                        for pv in point_ids),
         point_labels=tuple(point_ids),
         circle_labels=tuple(center_ids),
     )

@@ -29,18 +29,21 @@ class Graph:
     """Simple undirected graph on vertices 0..n_vertices-1.
 
     Edges are normalized on construction: each pair sorted ascending, the
-    whole set sorted lexicographically, duplicates and self-loops rejected.
+    whole set sorted lexicographically, duplicates, self-loops and non-integer
+    ids rejected.
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n_vertices < 0:
+        n = json_index(self.n_vertices)
+        if n < 0:
             raise ValueError("n_vertices must be non-negative")
         seen: set[tuple[int, int]] = set()
         for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            u, v = json_index(u), json_index(v)
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of vertex range")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -48,6 +51,7 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
+        object.__setattr__(self, "n_vertices", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @cached_property
@@ -71,8 +75,7 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
-        return cls(json_index(data["n_vertices"]),
-                   tuple((json_index(u), json_index(v)) for u, v in data["edges"]))
+        return cls(data["n_vertices"], data["edges"])
 
 
 @dataclass(frozen=True)

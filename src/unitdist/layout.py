@@ -40,19 +40,16 @@ class InfeasibleLayoutError(ValueError):
 
 @dataclass(frozen=True)
 class Drawing:
-    """Vertex positions for a graph, one (x, y) pair per vertex id."""
+    """Vertex positions for a graph, one finite (x, y) pair per vertex id."""
 
     graph: Graph
     positions: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        pos = tuple((float(x), float(y)) for x, y in self.positions)
+        pos = tuple((json_number(x), json_number(y)) for x, y in self.positions)
         if len(pos) != self.graph.n_vertices:
             raise ValueError(f"expected {self.graph.n_vertices} positions, "
                              f"got {len(pos)}")
-        for v, (x, y) in enumerate(pos):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"non-finite coordinate at vertex {v}")
         object.__setattr__(self, "positions", pos)
 
     def to_json_dict(self) -> dict:
@@ -60,9 +57,7 @@ class Drawing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Drawing":
-        return cls(Graph.from_json_dict(data["graph"]),
-                   tuple((json_number(x), json_number(y))
-                         for x, y in data["positions"]))
+        return cls(Graph.from_json_dict(data["graph"]), data["positions"])
 
 
 def rhombus_layout(params: RhombusParams) -> Drawing:

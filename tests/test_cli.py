@@ -292,3 +292,83 @@ class TestStringsAndBooleansAreNotNumbers:
         err = capsys.readouterr().err
         assert "unitdist: error:" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+def _nan_point(data):
+    data["points"][0][0] = float("nan")
+
+
+def _infinite_center(data):
+    data["centers"][0][1] = float("inf")
+
+
+def _unknown_label(data):
+    data["incidences"].append([999, data["circle_labels"][0]])
+
+
+def _repeated_incidence(data):
+    data["incidences"].append(data["incidences"][0])
+
+
+def _repeated_label(data):
+    data["point_labels"][1] = data["point_labels"][0]
+
+
+class TestConfigurationReaderIsStrict:
+    """Each edited configuration still parses as JSON with the right keys;
+    none of them describes a structure the reader could keep whole."""
+
+    @pytest.mark.parametrize("edit", [
+        _nan_point, _infinite_center, _unknown_label, _repeated_incidence,
+        _repeated_label,
+    ], ids=lambda edit: edit.__name__)
+    def test_usage_error(self, pipeline_dir, tmp_path, capsys, edit):
+        data = json.loads((pipeline_dir / "config_centers_a.json").read_text())
+        edit(data)
+        path = tmp_path / "config_centers_a.json"
+        path.write_text(json.dumps(data))
+        code = main(["render", "--configuration", str(path),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "not a configuration artifact" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_literal_nan_solution_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "solutions.json"
+        path.write_text('[{"h": NaN, "k": 1.6, "p": 0.9, "q": 0.1}]')
+        assert main(["layout", "--solutions", str(path),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert "not a solutions artifact" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestConfigVerdicts:
+    def test_incidence_tolerance_follows_edge_tol(self, pipeline_dir, tmp_path):
+        data = json.loads((pipeline_dir / "drawing.json").read_text())
+        # every distance grows by 2e-7: faithful at edge tolerance 1e-6 only
+        data["positions"] = [[x * (1 + 2e-7), y * (1 + 2e-7)]
+                             for x, y in data["positions"]]
+        path = tmp_path / "drawing.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o"
+        assert main(["config", str(path), "--out-dir", str(out)]) == 2
+        assert main(["config", str(path), "--edge-tol", "1e-6",
+                     "--out-dir", str(out)]) == 0
+        config = json.loads((out / "config_centers_a.json").read_text())
+        # GP(8,3) is bipartite: its 24 edges are the incidences
+        assert sorted(sorted(pair) for pair in config["incidences"]) == \
+            data["graph"]["edges"]
+
+    def test_non_bipartite_drawing_is_a_verdict(self, tmp_path, capsys):
+        path = tmp_path / "triangle.json"
+        path.write_text(json.dumps({
+            "graph": {"n_vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]]},
+            "positions": [[0.0, 0.0], [1.0, 0.0], [0.5, 3 ** 0.5 / 2]]}))
+        out = tmp_path / "o"
+        assert main(["verify", str(path), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["config", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "odd cycle" in err
+        assert "Traceback" not in err

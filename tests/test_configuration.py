@@ -6,7 +6,7 @@ from unitdist.configuration import (Circle, IncidenceMismatchError,
                                     IncidenceStructure, NotFaithfulError,
                                     build_point_circle, dual,
                                     validate_configuration)
-from unitdist.layout import circular_layout
+from unitdist.layout import Drawing, circular_layout
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +145,49 @@ class TestStructureType:
         assert data["incidences"] == sorted(data["incidences"])
         assert len(data["incidences"]) == 24
         assert IncidenceStructure.from_json_dict(data) == centers_a
+
+
+class TestStructureValues:
+    """The constructor owns every value check; the JSON reader only looks up
+    keys, so these hold for structures built in code too."""
+
+    CIRCLE = Circle((1.0, 0.0), 1.0)
+
+    def test_labels_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            IncidenceStructure(((0.0, 0.0),), (self.CIRCLE,), ((True,),),
+                               (0,), (0,))
+        with pytest.raises(ValueError, match="distinct"):
+            IncidenceStructure(((0.0, 0.0), (2.0, 0.0)), (self.CIRCLE,),
+                               ((True,), (True,)), (0, 0), (1,))
+
+    @pytest.mark.parametrize("point", [(float("nan"), 0.0), (0.0, float("inf"))])
+    def test_rejects_non_finite_points(self, point):
+        with pytest.raises(ValueError, match="non-finite"):
+            IncidenceStructure((point,), (self.CIRCLE,), ((True,),), (0,), (1,))
+
+    def test_rejects_non_finite_centres(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            IncidenceStructure(((0.0, 0.0),), (Circle((float("-inf"), 0.0), 1.0),),
+                               ((True,),), (0,), (1,))
+
+    @pytest.mark.parametrize("label", [True, 1.0, "1"])
+    def test_labels_are_integers(self, label):
+        with pytest.raises(TypeError):
+            IncidenceStructure(((0.0, 0.0),), (self.CIRCLE,), ((True,),),
+                               (0,), (label,))
+
+    def test_incidence_tolerance_defaults_to_edge_tol(self, faithful_drawing,
+                                                      gp83_bipartition):
+        # every distance 2e-7 too long: faithful at edge_tol 1e-6, not 1e-9
+        scaled = Drawing(faithful_drawing.graph,
+                         tuple((x * (1 + 2e-7), y * (1 + 2e-7))
+                               for x, y in faithful_drawing.positions))
+        with pytest.raises(NotFaithfulError):
+            build_point_circle(scaled, gp83_bipartition, "a")
+        structure = build_point_circle(scaled, gp83_bipartition, "a",
+                                       edge_tol=1e-6)
+        assert sum(map(sum, structure.incidence)) == 24
+        with pytest.raises(IncidenceMismatchError):
+            build_point_circle(scaled, gp83_bipartition, "a",
+                               incidence_tol=1e-9, edge_tol=1e-6)
