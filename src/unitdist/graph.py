@@ -146,21 +146,34 @@ def _odd_cycle(parent: dict[int, int | None], u: int, w: int) -> tuple[int, ...]
 
 
 def automorphism_count(g: Graph) -> int:
-    """Count adjacency-preserving vertex permutations by backtracking.
+    """Count adjacency-preserving vertex permutations by orbit-stabilizer.
 
-    Vertices are mapped in BFS order.  Automorphisms are exactly the
-    isometries of the graph metric, so a partial map survives only while
-    it preserves the distance between every pair of mapped vertices, with
-    "unreachable" as one more distance value (components map onto
-    components).  Distance 1 is adjacency, so this prunes at least as hard
-    as an adjacency test, and far harder on vertex-transitive graphs.
-    Candidate images of a vertex with a mapped neighbour are that
-    neighbour's image's neighbours, restricted to unused vertices of equal
-    degree.
+    Automorphisms are exactly the isometries of the graph metric, so a
+    partial map is kept only while it preserves the distance between every
+    pair of mapped vertices, with "unreachable" as one more distance value
+    (components map onto components).  Vertices are mapped in BFS order
+    (the base); the image of a vertex with a mapped neighbour is among that
+    neighbour's image's neighbours, and has the vertex's degree.
+
+    Let G_i be the automorphisms fixing order[:i] pointwise.  Then
+    |Aut| = |G_0| is the product over i of the length of order[i]'s orbit
+    under G_i.  The levels are walked from i = n-1 down to 0, with
+    order[:i] fixed.  Every automorphism found on a deeper level fixes
+    order[:i], so it lies in G_i; the orbit of order[i] starts as its
+    closure under these generators.  Each candidate image w of order[i]
+    outside that orbit gets one search for a single automorphism of G_i
+    taking order[i] to w.  A hit becomes a new generator and the orbit is
+    closed again; a miss proves w is not in the orbit.  The count is exact
+    even if the generators do not generate Aut: every point of the true
+    orbit passes the candidate filter, and is either reached by closure or
+    found by a search.
 
     Costs an O(V^2) distance table, filled by one BFS per vertex in
-    O(V * E).  The search keeps an explicit stack of candidate iterators,
-    so its depth is not bounded by Python's recursion limit.
+    O(V * E), and about (generators + refuted candidates) * V^2 for the
+    searches, where enumerating the group would cost |Aut| * V^2.  There
+    are at most log2 |Aut| generators, since each one at least doubles the
+    group they generate.  The search keeps an explicit stack of candidate
+    iterators, so its depth is not bounded by Python's recursion limit.
     """
     n = g.n_vertices
     if n == 0:
@@ -188,8 +201,10 @@ def automorphism_count(g: Graph) -> int:
         j = min((pos[u] for u in adj[v]), default=i)
         anchor.append(j if j < i else None)
 
-    mapped = [-1] * n               # mapped[i] is the image of order[i]
-    used = [False] * n
+    # mapped[i] is the image of order[i], -1 while unmapped.  Between
+    # searches the levels below the current one map to themselves.
+    mapped = list(order)
+    used = [True] * n
 
     def candidates(i: int):
         v = order[i]
@@ -204,23 +219,58 @@ def automorphism_count(g: Graph) -> int:
         return (w for w in pool
                 if not used[w] and deg[w] == deg[v] and got(dist[w]) == want)
 
-    count = 0
-    stack = [candidates(0)]
-    while stack:
-        i = len(stack) - 1
-        if mapped[i] != -1:         # retract this depth's previous choice
-            used[mapped[i]] = False
-            mapped[i] = -1
-        w = next(stack[i], None)
-        if w is None:
-            stack.pop()
-        elif i == n - 1:
-            count += 1
-        else:
-            mapped[i] = w
-            used[w] = True
-            stack.append(candidates(i + 1))
+    def extension(i: int, w: int) -> list[int] | None:
+        """The first automorphism found that extends mapped[:i] with
+        order[i] -> w, as perm[vertex] = image; None if there is none."""
+        stack = [iter((w,))]
+        while stack:
+            d = i + len(stack) - 1
+            if mapped[d] != -1:     # retract this depth's previous choice
+                used[mapped[d]] = False
+                mapped[d] = -1
+            u = next(stack[-1], None)
+            if u is None:
+                stack.pop()
+            elif d < n - 1:
+                mapped[d] = u
+                used[u] = True
+                stack.append(candidates(d + 1))
+            else:                   # a leaf: restore the fixed prefix state
+                perm = [0] * n
+                for v, image in zip(order, mapped[:d] + [u]):
+                    perm[v] = image
+                for image in mapped[i:d]:
+                    used[image] = False
+                mapped[i:d] = [-1] * (d - i)
+                return perm
+        return None
+
+    count = 1
+    generators: list[list[int]] = []
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        mapped[i] = -1
+        used[v] = False
+        orbit = {v}                 # every generator so far fixes v
+        for w in candidates(i):
+            if w not in orbit and (perm := extension(i, w)) is not None:
+                generators.append(perm)
+                orbit = _orbit(v, generators)
+        count *= len(orbit)
     return count
+
+
+def _orbit(v: int, generators: list[list[int]]) -> set[int]:
+    """The orbit of v under the group the permutations generate."""
+    seen = {v}
+    queue = [v]
+    for u in queue:                 # the list grows while it is scanned: a queue
+        for perm in generators:
+            w = perm[u]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> tuple[list[int], list[int]]:

@@ -292,4 +292,7 @@ def solution_to_json_dict(params: RhombusParams) -> dict:
 
 
 def solution_from_json_dict(data: dict) -> RhombusParams:
-    return RhombusParams(*(json_number(data[key]) for key in "hkpq"))
+    params = RhombusParams(*(json_number(data[key]) for key in "hkpq"))
+    if json_number(data["residual_max"]) < 0:
+        raise ValueError("residual_max must not be negative")
+    return params

@@ -1,9 +1,11 @@
 """Graph construction, bipartition, and automorphism counting."""
 
 import itertools
+import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitdist.graph import (Graph, NotBipartiteError, automorphism_count,
                             bipartition, generalized_petersen)
@@ -29,8 +31,37 @@ FGW_ORDERS = {
 }
 
 
+# examples are derandomized, so every run checks the same cases
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None,
+                    database=None)
+
+
 def _is_automorphism(g, perm):
     return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
+
+
+def _vf2_automorphisms(g):
+    """Independent oracle: networkx VF2 enumerates every automorphism."""
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(range(g.n_vertices))    # isolated vertices too
+    nx_graph.add_edges_from(g.edges)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(nx_graph, nx_graph)
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+@st.composite
+def small_graphs(draw):
+    """Any simple graph on 0 to 8 vertices, disconnected ones included."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, tuple(edges))
+
+
+@st.composite
+def petersen_graphs(draw):
+    n = draw(st.integers(3, 14))
+    return generalized_petersen(n, draw(st.integers(1, (n - 1) // 2)))
 
 
 def _brute_force_automorphisms(g):
@@ -191,9 +222,32 @@ class TestAutomorphismCount:
     @pytest.mark.parametrize("n,s", [(5, 2), (8, 3), (10, 3), (12, 5)])
     def test_against_networkx_vf2(self, n, s):
         g = generalized_petersen(n, s)
-        nx_graph = nx.Graph(list(g.edges))
-        matcher = nx.algorithms.isomorphism.GraphMatcher(nx_graph, nx_graph)
-        assert automorphism_count(g) == sum(1 for _ in matcher.isomorphisms_iter())
+        assert automorphism_count(g) == _vf2_automorphisms(g)
+
+    @PROPERTY
+    @given(g=small_graphs())
+    def test_small_graphs_against_networkx_vf2(self, g):
+        assert automorphism_count(g) == _vf2_automorphisms(g)
+
+    @PROPERTY
+    @given(g=petersen_graphs())
+    def test_petersen_graphs_against_networkx_vf2(self, g):
+        assert automorphism_count(g) == _vf2_automorphisms(g)
+
+    # groups far too large to enumerate: only orbit-stabilizer finishes
+    def test_six_cube(self):
+        cube = Graph(64, tuple((u, u | 1 << b) for u in range(64)
+                               for b in range(6) if not u >> b & 1))
+        assert automorphism_count(cube) == 2 ** 6 * math.factorial(6)
+
+    def test_disjoint_triangles(self):
+        # every component root may map to any vertex of degree 2
+        g = Graph(24, tuple(e for t in range(0, 24, 3)
+                            for e in ((t, t + 1), (t + 1, t + 2), (t, t + 2))))
+        assert automorphism_count(g) == math.factorial(8) * 6 ** 8
+
+    def test_gp200_1(self):
+        assert automorphism_count(generalized_petersen(200, 1)) == 800
 
     def test_identity_always_counted(self):
         g = Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))

@@ -29,8 +29,6 @@ READERS = {
     "config_centers_a.json": ["render", "--configuration"],
     "config_centers_b.json": ["render", "--configuration"],
 }
-# written for the reader of solutions.json, which reads only h, k, p and q
-IGNORED_KEYS = {"residual_max"}
 CONSTANTS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
              "huge": 10 ** 400}
 
@@ -54,9 +52,8 @@ def _paths(node, path=()):
     items = (node.items() if isinstance(node, dict)
              else enumerate(node) if isinstance(node, list) else ())
     for key, value in items:
-        if key not in IGNORED_KEYS:
-            yield path + (key,)
-            yield from _paths(value, path + (key,))
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
 
 
 def _parent(node, path):
