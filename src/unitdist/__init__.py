@@ -9,14 +9,14 @@ SVG emitters for every stage.
 
 __version__ = "0.1.0"
 
-from .configuration import (Circle, ConfigurationCheck, IncidenceMismatchError,
-                            IncidenceStructure, NotFaithfulError,
-                            build_point_circle, dual, validate_configuration)
+from .configuration import (Circle, ConfigurationCheck, IncidenceStructure,
+                            NotFaithfulError, build_point_circle, dual,
+                            validate_configuration)
 from .graph import (Bipartition, Graph, NotBipartiteError, automorphism_count,
                     bipartition, generalized_petersen)
 from .layout import (Drawing, InfeasibleLayoutError, circular_layout,
                      circular_radii, rhombus_layout)
-from .render import RenderStyle, render_configuration, render_drawing
+from .render import render_configuration, render_drawing
 from .solver import (NoConvergence, ResidualVector, RhombusParams,
                      SingularJacobian, SolverError, check_reflection_pair,
                      enumerate_solutions, jacobian, newton_solve, residual)
@@ -25,12 +25,12 @@ from .verifier import (Degeneracy, FaithfulnessReport,
 
 __all__ = [
     "Bipartition", "Circle", "ConfigurationCheck", "Degeneracy", "Drawing",
-    "FaithfulnessReport", "Graph", "IncidenceMismatchError",
-    "IncidenceStructure", "InfeasibleLayoutError", "NoConvergence",
-    "NotBipartiteError", "NotFaithfulError", "RenderStyle", "ResidualVector",
-    "RhombusParams", "SingularJacobian", "SolverError", "automorphism_count",
-    "bipartition", "build_point_circle", "check_reflection_pair",
-    "circular_layout", "circular_radii", "dual", "enumerate_solutions",
+    "FaithfulnessReport", "Graph", "IncidenceStructure",
+    "InfeasibleLayoutError", "NoConvergence", "NotBipartiteError",
+    "NotFaithfulError", "ResidualVector", "RhombusParams",
+    "SingularJacobian", "SolverError", "automorphism_count", "bipartition",
+    "build_point_circle", "check_reflection_pair", "circular_layout",
+    "circular_radii", "dual", "enumerate_solutions",
     "generalized_petersen", "jacobian", "newton_solve",
     "point_on_segment_interior", "render_configuration", "render_drawing",
     "residual", "rhombus_layout", "segments_overlap",

@@ -15,12 +15,11 @@ from pathlib import Path
 
 from . import __version__
 from ._jsonfmt import dumps
-from .configuration import (IncidenceStructure, IncidenceMismatchError,
-                            NotFaithfulError, build_point_circle,
-                            validate_configuration)
+from .configuration import (IncidenceStructure, NotFaithfulError,
+                            build_point_circle, validate_configuration)
 from .graph import NotBipartiteError, bipartition
 from .layout import Drawing, RhombusParams, circular_layout, rhombus_layout
-from .render import RenderStyle, render_drawing, render_configuration
+from .render import render_drawing, render_configuration
 from .solver import (DEFAULT_SEED_COUNT, DEFAULT_TOL, enumerate_solutions,
                      solution_from_json_dict, solution_to_json_dict)
 from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD,
@@ -121,7 +120,8 @@ def _build_parser() -> _ArgumentParser:
 
 
 class _InputError(Exception):
-    """Unusable input artifact (missing file, bad JSON, wrong schema)."""
+    """Unusable input artifact: missing file, bad JSON, wrong schema, or an
+    extent too large to render."""
 
 
 def _write(path: Path, text: str) -> None:
@@ -222,7 +222,7 @@ def _config(args, drawing: Drawing, classes) -> dict[str, IncidenceStructure] | 
             structure = build_point_circle(drawing, bp, cls,
                                            edge_tol=args.edge_tol,
                                            gap_threshold=args.gap_threshold)
-        except (NotFaithfulError, IncidenceMismatchError) as exc:
+        except NotFaithfulError as exc:
             print(f"error: centers {cls}: {exc}", file=sys.stderr)
             return None
         name = f"config_centers_{cls}"
@@ -239,10 +239,17 @@ def _config(args, drawing: Drawing, classes) -> dict[str, IncidenceStructure] | 
 
 
 def _render(args, items) -> None:
-    """One SVG per (name, drawing or configuration) pair."""
+    """One SVG per (name, drawing or configuration) pair, written only once
+    every item has rendered."""
+    svgs = []
     for name, item in items:
         render = render_drawing if isinstance(item, Drawing) else render_configuration
-        _write(args.out_dir / f"{name}.svg", render(item, RenderStyle()))
+        try:
+            svgs.append((name, render(item)))
+        except ValueError as exc:  # an extent that overflows a float
+            raise _InputError(f"cannot render {name}: {exc}") from None
+    for name, svg in svgs:
+        _write(args.out_dir / f"{name}.svg", svg)
 
 
 def cmd_solve(args) -> int:

@@ -9,9 +9,8 @@ cross-class adjacency of the graph.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import NamedTuple
 
 from ._jsonfmt import json_index, json_number
@@ -22,10 +21,6 @@ from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD, verify)
 
 class NotFaithfulError(ValueError):
     """The source drawing is not a faithful unit-distance representation."""
-
-
-class IncidenceMismatchError(ValueError):
-    """Metric incidence disagrees with graph adjacency (tolerance misset)."""
 
 
 class Circle(NamedTuple):
@@ -99,7 +94,6 @@ class IncidenceStructure:
 
 
 def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
-                       incidence_tol: float | None = None,
                        edge_tol: float = DEFAULT_EDGE_TOL,
                        gap_threshold: float = DEFAULT_GAP_THRESHOLD
                        ) -> IncidenceStructure:
@@ -107,15 +101,14 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
 
     centers_class ("a" or "b") picks which bipartition class supplies the
     unit-circle centres; the other class supplies the points.  The drawing
-    must verify as faithful (NotFaithfulError otherwise), and the metric
-    incidences must coincide with graph adjacency (IncidenceMismatchError
-    otherwise).  incidence_tol defaults to edge_tol; for a faithful drawing
-    only an incidence_tol outside [edge_tol, gap_threshold) can mismatch.
+    must verify as faithful (NotFaithfulError otherwise).  The incidences
+    are the cross-class edges: in a drawing that verifies, every edge is
+    within edge_tol of length 1 and every non-edge at least gap_threshold
+    > edge_tol away, so they are exactly the pairs at distance 1 within
+    edge_tol.
     """
     if centers_class not in ("a", "b"):
         raise ValueError("centers_class must be 'a' or 'b'")
-    if incidence_tol is None:
-        incidence_tol = edge_tol
     report = verify(d, edge_tol=edge_tol, gap_threshold=gap_threshold)
     if not report.is_faithful:
         raise NotFaithfulError(
@@ -129,13 +122,6 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
         raise ValueError("bipartition does not partition the drawing's vertices")
 
     pos = d.positions
-    for pv, cv in product(point_ids, center_ids):
-        metric = abs(math.dist(pos[pv], pos[cv]) - 1.0) <= incidence_tol
-        if metric != d.graph.has_edge(pv, cv):
-            raise IncidenceMismatchError(
-                f"point {pv} vs circle at {cv}: metric incidence "
-                f"{metric} but adjacency {not metric} "
-                f"(incidence_tol={incidence_tol:g})")
     return IncidenceStructure(
         points=tuple(pos[v] for v in point_ids),
         circles=tuple(Circle(pos[v], 1.0) for v in center_ids),

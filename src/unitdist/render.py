@@ -9,11 +9,13 @@ drawings keep the usual mathematical orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .configuration import IncidenceStructure
 from .layout import Drawing
 
+_SCALE = 120.0                   # pixels per unit length
+_MARGIN = 40.0                   # pixels around the bounding box
 _VERTEX_RADIUS = 4.0             # pixels
 _STROKE_WIDTH = 1.5              # edges and rings
 _FONT_SIZE = 11.0
@@ -23,42 +25,35 @@ _CIRCLE_COLOR = "#1565c0"
 _LABEL_COLOR = "#212121"
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    scale: float = 120.0          # pixels per unit length
-    margin: float = 40.0          # pixels around the bounding box
-    show_labels: bool = True
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-
-
 def _fmt(value: float) -> str:
     text = f"{value:.6f}"
     return "0.000000" if text == "-0.000000" else text
 
 
 class _Canvas:
-    """Maps math coordinates to SVG pixels (y flipped) and collects elements."""
+    """Maps math coordinates to SVG pixels (y flipped) and collects elements.
 
-    def __init__(self, xs, ys, pad_units: float, style: RenderStyle):
+    Every pixel coordinate lies within the width and height, so a canvas
+    whose extent overflows a float is rejected with ValueError.
+    """
+
+    def __init__(self, xs, ys, pad_units: float):
         if xs:
             self.xmin, xmax = min(xs) - pad_units, max(xs) + pad_units
             self.ymin, ymax = min(ys) - pad_units, max(ys) + pad_units
         else:
             self.xmin = xmax = self.ymin = ymax = 0.0
-        self.style = style
-        self.width = (xmax - self.xmin) * style.scale + 2 * style.margin
-        self.height = (ymax - self.ymin) * style.scale + 2 * style.margin
+        self.width = (xmax - self.xmin) * _SCALE + 2 * _MARGIN
+        self.height = (ymax - self.ymin) * _SCALE + 2 * _MARGIN
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValueError(f"pixel extent {self.width:g} x {self.height:g} "
+                             "overflows a float")
         self.ymax = ymax
         self.body: list[str] = []
 
     def to_px(self, pt) -> tuple[float, float]:
-        s, m = self.style.scale, self.style.margin
-        return ((pt[0] - self.xmin) * s + m, (self.ymax - pt[1]) * s + m)
+        return ((pt[0] - self.xmin) * _SCALE + _MARGIN,
+                (self.ymax - pt[1]) * _SCALE + _MARGIN)
 
     def line(self, a, b) -> None:
         (x1, y1), (x2, y2) = self.to_px(a), self.to_px(b)
@@ -77,7 +72,7 @@ class _Canvas:
         """A unit circle, whose radius in pixels is the scale."""
         cx, cy = self.to_px(center)
         self.body.append(
-            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(self.style.scale)}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(_SCALE)}" '
             f'fill="none" stroke="{_CIRCLE_COLOR}" '
             f'stroke-width="{_fmt(_STROKE_WIDTH)}" />')
 
@@ -97,35 +92,32 @@ class _Canvas:
         return "\n".join([head, *self.body, "</svg>"]) + "\n"
 
 
-def render_drawing(d: Drawing, style: RenderStyle = RenderStyle()) -> str:
-    """SVG for a drawing: edges as lines, vertices as discs, optional labels."""
+def render_drawing(d: Drawing) -> str:
+    """SVG for a drawing: edges as lines, vertices as labelled discs."""
     xs = [p[0] for p in d.positions]
     ys = [p[1] for p in d.positions]
-    canvas = _Canvas(xs, ys, 0.0, style)
+    canvas = _Canvas(xs, ys, 0.0)
     for u, v in d.graph.edges:  # already sorted
         canvas.line(d.positions[u], d.positions[v])
     for v in range(d.graph.n_vertices):
         canvas.disc(d.positions[v])
-    if style.show_labels:
-        for v in range(d.graph.n_vertices):
-            canvas.label(d.positions[v], str(v))
+    for v in range(d.graph.n_vertices):
+        canvas.label(d.positions[v], str(v))
     return canvas.document()
 
 
-def render_configuration(s: IncidenceStructure,
-                         style: RenderStyle = RenderStyle()) -> str:
-    """SVG for a point-circle structure: unit rings plus point discs."""
+def render_configuration(s: IncidenceStructure) -> str:
+    """SVG for a point-circle structure: unit rings, point discs and labels."""
     xs = [p[0] for p in s.points] + [c.center[0] for c in s.circles]
     ys = [p[1] for p in s.points] + [c.center[1] for c in s.circles]
     # pad by the unit radius so rings stay inside the canvas
-    canvas = _Canvas(xs, ys, 1.0 if s.circles else 0.0, style)
+    canvas = _Canvas(xs, ys, 1.0 if s.circles else 0.0)
     for circle in s.circles:
         canvas.ring(circle.center)
     for pt in s.points:
         canvas.disc(pt)
-    if style.show_labels:
-        for j, circle in enumerate(s.circles):
-            canvas.label(circle.center, str(s.circle_labels[j]))
-        for i, pt in enumerate(s.points):
-            canvas.label(pt, str(s.point_labels[i]))
+    for j, circle in enumerate(s.circles):
+        canvas.label(circle.center, str(s.circle_labels[j]))
+    for i, pt in enumerate(s.points):
+        canvas.label(pt, str(s.point_labels[i]))
     return canvas.document()

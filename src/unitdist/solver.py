@@ -18,7 +18,7 @@ check_reflection_pair are defined in layout and re-exported here.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,16 +141,15 @@ def _newton_step(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return step, singular
 
 
-def newton_solve(seed: RhombusParams, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> RhombusParams:
-    """Damped Newton iteration until the residual max-norm is <= tol.
+def newton_solve(seed: RhombusParams) -> RhombusParams:
+    """Damped Newton iteration until the residual max-norm is <= DEFAULT_TOL.
 
     This is the one-row case of the lockstep sweep that enumerate_solutions
     runs.  Raises SingularJacobian when the equilibrated Jacobian
-    determinant falls below 1e-14, and NoConvergence when the iteration
-    budget runs out or the line search stalls at minimum damping.
+    determinant falls below 1e-14, and NoConvergence when DEFAULT_MAX_ITER
+    iterations run out or the line search stalls at minimum damping.
     """
-    [x], [status] = _newton_sweep([seed.as_tuple()], tol, max_iter)
+    [x], [status] = _newton_sweep([seed.as_tuple()], DEFAULT_TOL, DEFAULT_MAX_ITER)
     if status == CONVERGED:
         return RhombusParams(*x.tolist())
     if status == SINGULAR:
@@ -158,23 +157,21 @@ def newton_solve(seed: RhombusParams, tol: float = DEFAULT_TOL,
     fnorm = float(np.abs(_residual_array(x)).max())
     if status == STALLED:
         raise NoConvergence(f"line search stalled at residual {fnorm:.3e}")
-    raise NoConvergence(f"no convergence after {max_iter} iterations "
+    raise NoConvergence(f"no convergence after {DEFAULT_MAX_ITER} iterations "
                         f"(residual {fnorm:.3e})")
 
 
 def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
-                        box: Sequence[tuple[float, float]] = DEFAULT_BOX,
-                        dedupe_tol: float = DEFAULT_DEDUPE_TOL,
-                        tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> list[RhombusParams]:
+                        tol: float = DEFAULT_TOL) -> list[RhombusParams]:
     """All distinct non-degenerate roots found from seed_count random starts.
 
     The seeds are one draw, default_rng(rng_seed).uniform(lows, highs,
-    (seed_count, 4)), from the box.  PCG64 draws are sequential, so seed i
-    is the same for any seed_count and for any split of the draw into
+    (seed_count, 4)), from DEFAULT_BOX.  PCG64 draws are sequential, so seed
+    i is the same for any seed_count and for any split of the draw into
     consecutive chunks, and the result cannot depend on execution order.
-    The Newton sweeps run vectorized in lockstep.  Converged iterates are
-    deduplicated (max-norm distance < dedupe_tol), filtered to non-degenerate
+    The Newton sweeps (residual max-norm <= tol, at most DEFAULT_MAX_ITER
+    steps) run vectorized in lockstep.  Converged iterates are deduplicated
+    (max-norm distance < DEFAULT_DEDUPE_TOL), filtered to non-degenerate
     roots, and returned sorted lexicographically by (h, k, p, q).
 
     A root is non-degenerate when h > 0, k > 0 and the 16 derived vertex
@@ -183,24 +180,18 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     """
     if seed_count < 1:
         raise ValueError("seed_count must be at least 1")
-    if dedupe_tol <= 0:
-        raise ValueError("dedupe_tol must be positive")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in box)
-    if len(bounds) != 4 or any(lo >= hi for lo, hi in bounds):
-        raise ValueError("box must be four (lo, hi) pairs with lo < hi")
-
-    lows, highs = np.array(bounds).T
+    lows, highs = np.array(DEFAULT_BOX).T
     seeds = np.random.default_rng(rng_seed).uniform(lows, highs, (seed_count, 4))
-    x, status = _newton_sweep(seeds, tol, max_iter)
+    x, status = _newton_sweep(seeds, tol, DEFAULT_MAX_ITER)
     roots = x[status == CONVERGED]
 
-    # the first remaining sorted row represents every row within dedupe_tol
+    # the first remaining sorted row represents every row within the tolerance
     remaining = roots[np.lexsort(roots.T[::-1])]
     representatives: list[np.ndarray] = []
     while len(remaining):
         representatives.append(remaining[0])
         remaining = remaining[np.abs(remaining - remaining[0]).max(axis=1)
-                              >= dedupe_tol]
+                              >= DEFAULT_DEDUPE_TOL]
 
     solutions = []
     for row in representatives:
@@ -227,8 +218,6 @@ def _newton_sweep(seeds: np.ndarray, tol: float,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     x = np.array(seeds, dtype=float)
     f = _residual_array(x.T)
     fnorm = np.abs(f).max(axis=0)

@@ -64,14 +64,13 @@ class FaithfulnessReport:
         return asdict(self)
 
 
-def point_on_segment_interior(pt: Point, a: Point, b: Point,
-                              tol: float = DEFAULT_DEGENERACY_TOL) -> bool:
-    """True iff pt lies within tol of segment ab, strictly between the ends.
-
-    Strictness is in the normalized projection parameter: t must fall in
-    the open interval (tol, 1 - tol), so endpoints never count.  A segment
+def point_on_segment_interior(pt: Point, a: Point, b: Point) -> bool:
+    """True iff pt lies within tol = DEFAULT_DEGENERACY_TOL of segment ab,
+    strictly between the ends: the normalized projection parameter must fall
+    in the open interval (tol, 1 - tol), so endpoints never count.  A segment
     shorter than tol is rejected with ValueError.
     """
+    tol = DEFAULT_DEGENERACY_TOL
     ax, ay = a
     bx, by = b
     dx, dy = bx - ax, by - ay
@@ -85,14 +84,14 @@ def point_on_segment_interior(pt: Point, a: Point, b: Point,
     return math.dist(pt, foot) < tol
 
 
-def segments_overlap(a1: Point, b1: Point, a2: Point, b2: Point,
-                     tol: float = DEFAULT_DEGENERACY_TOL) -> bool:
-    """True iff the segments are collinear within tol and overlap in more
-    than a point (a shared endpoint alone does not count)."""
+def segments_overlap(a1: Point, b1: Point, a2: Point, b2: Point) -> bool:
+    """True iff the segments are collinear within DEFAULT_DEGENERACY_TOL and
+    overlap in more than a point (a shared endpoint alone does not count)."""
+    tol = DEFAULT_DEGENERACY_TOL
     if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
         raise ValueError("degenerate segment")
-    if not (_near_line(a2, a1, b1, tol) and _near_line(b2, a1, b1, tol)
-            and _near_line(a1, a2, b2, tol) and _near_line(b1, a2, b2, tol)):
+    if not (_near_line(a2, a1, b1) and _near_line(b2, a1, b1)
+            and _near_line(a1, a2, b2) and _near_line(b1, a2, b2)):
         return False
     # Project everything on the direction of the first segment.
     ux, uy = b1[0] - a1[0], b1[1] - a1[1]
@@ -104,10 +103,10 @@ def segments_overlap(a1: Point, b1: Point, a2: Point, b2: Point,
     return overlap > tol
 
 
-def _near_line(pt: Point, a: Point, b: Point, tol: float) -> bool:
+def _near_line(pt: Point, a: Point, b: Point) -> bool:
     ux, uy = b[0] - a[0], b[1] - a[1]
     cross = ux * (pt[1] - a[1]) - uy * (pt[0] - a[0])
-    return abs(cross) / math.hypot(ux, uy) < tol
+    return abs(cross) / math.hypot(ux, uy) < DEFAULT_DEGENERACY_TOL
 
 
 def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,

@@ -125,6 +125,25 @@ class TestRender:
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert main(["render", "--out-dir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("kind, name, key", [
+        ("drawing", "drawing", "positions"),
+        ("configuration", "config_centers_a", "points"),
+    ], ids=["drawing", "configuration"])
+    def test_overflowing_extent_is_usage_error(self, pipeline_dir, tmp_path,
+                                               capsys, kind, name, key):
+        # finite coordinates whose pixel extent overflows a float
+        data = json.loads((pipeline_dir / f"{name}.json").read_text())
+        data[key][0], data[key][1] = [1.7e308, 0.0], [-1.7e308, 0.0]
+        path = tmp_path / f"huge_{name}.json"
+        path.write_text(json.dumps(data))
+        # the valid drawing before it is not written either
+        code = main(["render", "--drawing", str(pipeline_dir / "drawing.json"),
+                     f"--{kind}", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unitdist: error:" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestAll:
     def test_produces_every_artifact(self, pipeline_dir):

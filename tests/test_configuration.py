@@ -1,10 +1,11 @@
 """Point-circle structures: construction, axioms, duality."""
 
+import math
+
 import pytest
 
-from unitdist.configuration import (Circle, IncidenceMismatchError,
-                                    IncidenceStructure, NotFaithfulError,
-                                    build_point_circle, dual,
+from unitdist.configuration import (Circle, IncidenceStructure,
+                                    NotFaithfulError, build_point_circle, dual,
                                     validate_configuration)
 from unitdist.layout import Drawing, circular_layout
 
@@ -29,12 +30,16 @@ class TestBuild:
     def test_all_radii_unit(self, centers_a):
         assert all(c.radius == 1.0 for c in centers_a.circles)
 
-    def test_incidence_equals_cross_class_adjacency(self, centers_a,
+    def test_incidence_equals_cross_class_adjacency(self, centers_a, centers_b,
                                                     faithful_drawing):
         g = faithful_drawing.graph
-        for i, pv in enumerate(centers_a.point_labels):
-            for j, cv in enumerate(centers_a.circle_labels):
-                assert centers_a.incidence[i][j] == g.has_edge(pv, cv)
+        for s in (centers_a, centers_b):
+            for i, (pv, point) in enumerate(zip(s.point_labels, s.points)):
+                for j, (cv, circle) in enumerate(zip(s.circle_labels, s.circles)):
+                    assert s.incidence[i][j] == g.has_edge(pv, cv)
+                    # the metric oracle: incident exactly at distance 1
+                    on_circle = abs(math.dist(point, circle.center) - 1.0) <= 1e-9
+                    assert s.incidence[i][j] == on_circle
 
     def test_point_positions_come_from_the_drawing(self, centers_a,
                                                    faithful_drawing):
@@ -47,19 +52,6 @@ class TestBuild:
     def test_non_faithful_drawing_rejected(self, gp83_bipartition):
         with pytest.raises(NotFaithfulError):
             build_point_circle(circular_layout(8, 3), gp83_bipartition, "a")
-
-    def test_mismatch_when_tolerance_too_tight(self, faithful_drawing,
-                                               gp83_bipartition):
-        with pytest.raises(IncidenceMismatchError):
-            build_point_circle(faithful_drawing, gp83_bipartition, "a",
-                               incidence_tol=1e-30)
-
-    def test_mismatch_when_tolerance_too_loose(self, faithful_drawing,
-                                               gp83_bipartition):
-        # 0.2 exceeds the minimal non-edge gap, creating a false incidence
-        with pytest.raises(IncidenceMismatchError):
-            build_point_circle(faithful_drawing, gp83_bipartition, "a",
-                               incidence_tol=0.2)
 
     def test_rejects_unknown_class(self, faithful_drawing, gp83_bipartition):
         with pytest.raises(ValueError):
@@ -188,6 +180,3 @@ class TestStructureValues:
         structure = build_point_circle(scaled, gp83_bipartition, "a",
                                        edge_tol=1e-6)
         assert sum(map(sum, structure.incidence)) == 24
-        with pytest.raises(IncidenceMismatchError):
-            build_point_circle(scaled, gp83_bipartition, "a",
-                               incidence_tol=1e-9, edge_tol=1e-6)

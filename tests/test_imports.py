@@ -1,4 +1,5 @@
-"""The package's import graph: module-level imports only, and no cycle."""
+"""The package's shape: module-level imports only, no import cycle, and only
+the settings that the command line sets."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,40 @@ def test_import_graph_is_acyclic():
         assert leaves, f"import cycle among {sorted(remaining)}"
         for m in leaves:
             del remaining[m]
+
+
+def _settable_values(tree: ast.Module, module: str) -> set[str]:
+    """Defaulted parameters of public functions and defaulted class fields."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found.update(f"{module}.{node.name}({a.arg})" for a in defaulted)
+        elif isinstance(node, ast.ClassDef):
+            found.update(f"{module}.{node.name}.{field.target.id}"
+                         for field in node.body
+                         if isinstance(field, ast.AnnAssign) and field.value)
+    return found
+
+
+def test_settable_values_are_the_ones_the_command_line_sets():
+    # a setting no caller outside the tests sets is a constant instead
+    settable = set().union(*(_settable_values(tree, name)
+                             for name, tree in MODULES.items()))
+    assert settable == {
+        "cli.main(argv)",
+        "configuration.build_point_circle(centers_class)",
+        "configuration.build_point_circle(edge_tol)",
+        "configuration.build_point_circle(gap_threshold)",
+        "layout.circular_layout(rotation_sign)",
+        "solver.enumerate_solutions(seed_count)",
+        "solver.enumerate_solutions(rng_seed)",
+        "solver.enumerate_solutions(tol)",
+        "verifier.verify(edge_tol)",
+        "verifier.verify(gap_threshold)",
+    }

@@ -5,18 +5,22 @@ Examples are derandomized, so every run checks the same 100 cases per test.
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unitdist._jsonfmt import dumps
 from unitdist.cli import main
 from unitdist.configuration import Circle, IncidenceStructure
 from unitdist.graph import Graph
 from unitdist.layout import Drawing
+from unitdist.solver import (RhombusParams, solution_from_json_dict,
+                             solution_to_json_dict)
+from unitdist.verifier import verify
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None,
                     database=None)
@@ -107,11 +111,11 @@ points = st.tuples(finite, finite)
 
 
 @st.composite
-def drawings(draw):
+def drawings(draw, point=points):
     n = draw(st.integers(0, 6))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    positions = draw(st.lists(points, min_size=n, max_size=n))
+    positions = draw(st.lists(point, min_size=n, max_size=n))
     return Drawing(Graph(n, tuple(edges)), tuple(positions))
 
 
@@ -145,3 +149,33 @@ def test_incidence_structure_json_round_trip(structure):
     data = structure.to_json_dict()
     assert IncidenceStructure.from_json_dict(data) == structure
     assert IncidenceStructure.from_json_dict(json.loads(dumps(data))) == structure
+
+
+small = st.floats(-3.0, 3.0)
+
+
+@PROPERTY
+@given(params=st.builds(RhombusParams, small, small, small, small))
+def test_solution_json_round_trip(params):
+    text = dumps(solution_to_json_dict(params))
+    assert solution_from_json_dict(json.loads(text)) == params
+
+
+def _json_value(value):
+    """value as json.loads returns it: tuples become lists, ±inf null."""
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, float) and math.isinf(value):
+        return None
+    return value
+
+
+@PROPERTY
+@given(drawing=drawings(st.tuples(small, small)))
+@example(drawing=Drawing(Graph(0, ()), ()))  # no pairs: both minima are inf
+def test_report_json_round_trip(drawing):
+    report = verify(drawing)
+    fields = dataclasses.asdict(report)
+    assert json.loads(dumps(report.to_json_dict())) == _json_value(fields)

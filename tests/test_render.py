@@ -8,7 +8,7 @@ import pytest
 from unitdist.configuration import build_point_circle, dual
 from unitdist.graph import Graph
 from unitdist.layout import Drawing
-from unitdist.render import RenderStyle, render_configuration, render_drawing
+from unitdist.render import render_configuration, render_drawing
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -38,10 +38,8 @@ class TestRenderDrawing:
         assert len(_rings(svg)) == 0
 
     def test_labels_toggle(self, faithful_drawing):
-        labeled = render_drawing(faithful_drawing, RenderStyle(show_labels=True))
-        bare = render_drawing(faithful_drawing, RenderStyle(show_labels=False))
+        labeled = render_drawing(faithful_drawing)
         assert len(_elements(labeled, "text")) == 16
-        assert len(_elements(bare, "text")) == 0
 
     def test_byte_identical_across_calls(self, faithful_drawing):
         assert render_drawing(faithful_drawing) == render_drawing(faithful_drawing)
@@ -54,7 +52,7 @@ class TestRenderDrawing:
 
     def test_y_axis_flipped(self, faithful_drawing):
         # vertex 0 has the largest y, so its disc must have the smallest cy
-        svg = render_drawing(faithful_drawing, RenderStyle(show_labels=False))
+        svg = render_drawing(faithful_drawing)
         discs = _discs(svg)
         cys = [float(c.get("cy")) for c in discs]
         top_vertex = max(range(16),
@@ -88,17 +86,9 @@ class TestRenderConfiguration:
         assert render_configuration(structure) == render_configuration(structure)
 
     def test_ring_radius_is_scale(self, structure):
-        style = RenderStyle(scale=80.0, show_labels=False)
-        svg = render_configuration(structure, style)
-        assert all(float(ring.get("r")) == 80.0 for ring in _rings(svg))
+        svg = render_configuration(structure)
+        assert all(float(ring.get("r")) == 120.0 for ring in _rings(svg))
 
     def test_well_formed(self, structure):
         ET.fromstring(render_configuration(structure))
 
-
-class TestStyle:
-    def test_invalid_style_rejected(self):
-        with pytest.raises(ValueError):
-            RenderStyle(scale=0.0)
-        with pytest.raises(ValueError):
-            RenderStyle(margin=-1.0)

@@ -3,8 +3,8 @@
 import math
 from itertools import combinations
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (MIN_NONEDGE_GAP, MIN_NONEDGE_GAP_ORBIT,
                       MIN_VERTEX_SEPARATION)
@@ -80,23 +80,27 @@ class TestFaithfulDrawing:
         assert report.max_edge_residual > 1e-4
         assert not report.is_unit_distance
 
-    def test_invariant_under_rigid_motions(self, faithful_drawing):
-        rng = np.random.default_rng(99)
-        base = verify(faithful_drawing)
-        for _ in range(100):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            shift = rng.uniform(-10.0, 10.0, 2)
-            cos_t, sin_t = math.cos(theta), math.sin(theta)
-            moved = tuple(
-                (cos_t * x - sin_t * y + shift[0], sin_t * x + cos_t * y + shift[1])
-                for x, y in faithful_drawing.positions)
-            report = verify(Drawing(faithful_drawing.graph, moved))
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(theta=st.floats(0.0, 2.0 * math.pi), mirror=st.booleans(),
+           shift=st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)))
+    def test_invariant_under_rigid_motions(self, faithful_drawing, theta, mirror,
+                                           shift):
+        # rotate, optionally reflect in the x axis, then translate (|shift| < 10)
+        cos_t, sin_t = math.cos(theta), math.sin(theta)
+        sign = -1.0 if mirror else 1.0
+        for drawing in (faithful_drawing, circular_layout(8, 3)):
+            base = verify(drawing)
+            moved = tuple((cos_t * x - sin_t * sign * y + shift[0],
+                           sin_t * x + cos_t * sign * y + shift[1])
+                          for x, y in drawing.positions)
+            report = verify(Drawing(drawing.graph, moved))
             assert report.is_unit_distance == base.is_unit_distance
             assert report.is_faithful == base.is_faithful
-            assert len(report.degeneracies) == len(base.degeneracies)
-            assert abs(report.max_edge_residual - base.max_edge_residual) < 1e-9
-            assert abs(report.min_nonedge_gap - base.min_nonedge_gap) < 1e-9
-            assert abs(report.min_vertex_separation - base.min_vertex_separation) < 1e-9
+            assert ([d.kind for d in report.degeneracies]
+                    == [d.kind for d in base.degeneracies])
+            for field in ("max_edge_residual", "min_nonedge_gap",
+                          "min_vertex_separation"):
+                assert abs(getattr(report, field) - getattr(base, field)) < 1e-9
 
 
 class TestCircularDrawing:
@@ -149,8 +153,7 @@ class TestPredicates:
         assert not point_on_segment_interior((0.0, 0.0), (0.0, 0.0), (1.0, 0.0))
 
     def test_offset_point_is_not_on_segment(self):
-        assert not point_on_segment_interior((0.5, 0.1), (0.0, 0.0), (1.0, 0.0),
-                                             tol=1e-9)
+        assert not point_on_segment_interior((0.5, 0.1), (0.0, 0.0), (1.0, 0.0))
 
     def test_degenerate_segment_raises(self):
         with pytest.raises(ValueError):
