@@ -9,7 +9,7 @@ SVG emitters for every stage.
 
 __version__ = "0.1.0"
 
-from .configuration import (Circle, ConfigurationCheck, IncidenceStructure,
+from .configuration import (ConfigurationCheck, IncidenceStructure,
                             NotFaithfulError, build_point_circle, dual,
                             validate_configuration)
 from .graph import (Bipartition, Graph, NotBipartiteError, automorphism_count,
@@ -24,7 +24,7 @@ from .verifier import (Degeneracy, FaithfulnessReport,
                        point_on_segment_interior, segments_overlap, verify)
 
 __all__ = [
-    "Bipartition", "Circle", "ConfigurationCheck", "Degeneracy", "Drawing",
+    "Bipartition", "ConfigurationCheck", "Degeneracy", "Drawing",
     "FaithfulnessReport", "Graph", "IncidenceStructure",
     "InfeasibleLayoutError", "NoConvergence", "NotBipartiteError",
     "NotFaithfulError", "ResidualVector", "RhombusParams",

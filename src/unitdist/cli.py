@@ -156,6 +156,16 @@ def _read(path: Path, kind: str):
         raise _InputError(f"{path} is not a {kind} artifact: {exc}") from None
 
 
+def _names(paths: list[Path], suffix: str) -> list[str]:
+    """The inputs' file stems, which name their outputs: each must be unique."""
+    stems = [path.stem for path in paths]
+    for i, stem in enumerate(stems):
+        if stem in stems[:i]:
+            raise _InputError(f"{paths[stems.index(stem)]} and {paths[i]} "
+                              f"would both write {stem}{suffix}")
+    return stems
+
+
 def _report_table(name: str, report: FaithfulnessReport) -> str:
     gap_ok = report.min_nonedge_gap >= report.gap_threshold
     gap_txt = ("-" if math.isinf(report.min_nonedge_gap)
@@ -267,8 +277,9 @@ def cmd_layout(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    drawings = [(path.stem, _read(path, "drawing")) for path in args.drawings]
-    reports = [_verify(args, name, drawing) for name, drawing in drawings]
+    names = _names(args.drawings, "_report.json")
+    drawings = [_read(path, "drawing") for path in args.drawings]
+    reports = [_verify(args, name, d) for name, d in zip(names, drawings)]
     return EXIT_OK if all(r.is_faithful for r in reports) else EXIT_VERDICT
 
 
@@ -282,9 +293,9 @@ def cmd_render(args) -> int:
         print("error: nothing to render; pass --drawing and/or --configuration",
               file=sys.stderr)
         return EXIT_USAGE
-    _render(args, [(path.stem, _read(path, "drawing")) for path in args.drawing]
-            + [(path.stem, _read(path, "configuration"))
-               for path in args.configuration])
+    names = _names(args.drawing + args.configuration, ".svg")
+    _render(args, zip(names, [_read(path, "drawing") for path in args.drawing]
+                      + [_read(path, "configuration") for path in args.configuration]))
     return EXIT_OK
 
 

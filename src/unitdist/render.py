@@ -108,16 +108,16 @@ def render_drawing(d: Drawing) -> str:
 
 def render_configuration(s: IncidenceStructure) -> str:
     """SVG for a point-circle structure: unit rings, point discs and labels."""
-    xs = [p[0] for p in s.points] + [c.center[0] for c in s.circles]
-    ys = [p[1] for p in s.points] + [c.center[1] for c in s.circles]
+    xs = [p[0] for p in s.points + s.centers]
+    ys = [p[1] for p in s.points + s.centers]
     # pad by the unit radius so rings stay inside the canvas
-    canvas = _Canvas(xs, ys, 1.0 if s.circles else 0.0)
-    for circle in s.circles:
-        canvas.ring(circle.center)
+    canvas = _Canvas(xs, ys, 1.0 if s.centers else 0.0)
+    for center in s.centers:
+        canvas.ring(center)
     for pt in s.points:
         canvas.disc(pt)
-    for j, circle in enumerate(s.circles):
-        canvas.label(circle.center, str(s.circle_labels[j]))
-    for i, pt in enumerate(s.points):
-        canvas.label(pt, str(s.point_labels[i]))
+    for center, label in zip(s.centers, s.circle_labels):
+        canvas.label(center, str(label))
+    for pt, label in zip(s.points, s.point_labels):
+        canvas.label(pt, str(label))
     return canvas.document()

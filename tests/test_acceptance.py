@@ -150,17 +150,20 @@ def test_criterion_07_configuration_validity(sweep):
     failures = []
     structure_a = build_point_circle(drawing, bp, "a")
     structure_b = build_point_circle(drawing, bp, "b")
-    for name, s in (("a", structure_a), ("b", structure_b)):
+    pairs_a, pairs_b = set(structure_a.incidence), set(structure_b.incidence)
+    for name, s, pairs in (("a", structure_a, pairs_a), ("b", structure_b, pairs_b)):
         if validate_configuration(s).signature != (8, 8, 3, 3):
             failures.append(f"centers {name} does not validate as (8,8,3,3)")
-        for i, pv in enumerate(s.point_labels):
-            for j, cv in enumerate(s.circle_labels):
-                if s.incidence[i][j] != drawing.graph.has_edge(pv, cv):
+        for pv in s.point_labels:
+            for cv in s.circle_labels:
+                if ((pv, cv) in pairs) != drawing.graph.has_edge(pv, cv):
                     failures.append(f"incidence/adjacency mismatch at "
                                     f"({pv},{cv}) in centers {name}")
     for i in range(8):
         for j in range(8):
-            if structure_a.incidence[i][j] != structure_b.incidence[j][i]:
+            a_ij = (structure_a.point_labels[i], structure_a.circle_labels[j]) in pairs_a
+            b_ji = (structure_b.point_labels[j], structure_b.circle_labels[i]) in pairs_b
+            if a_ij != b_ji:
                 failures.append(f"duality transpose fails at ({i},{j})")
     _conclude(7, "both point-circle structures are dual (8_3) configurations",
               failures)

@@ -95,6 +95,20 @@ class TestVerify:
         assert report["is_faithful"] is False
         assert report["min_nonedge_gap_witness"] == [0, 10]
 
+    def test_inputs_sharing_a_stem_are_usage_error(self, pipeline_dir,
+                                                   tmp_path, capsys):
+        # both would write drawing_report.json; the second would win
+        (tmp_path / "x").mkdir()
+        other = tmp_path / "x" / "drawing.json"
+        other.write_text((pipeline_dir / "circular.json").read_text())
+        code = main(["verify", str(pipeline_dir / "drawing.json"), str(other),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unitdist: error:" in err and "drawing_report.json" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestConfig:
     def test_derives_configuration(self, pipeline_dir, tmp_path):
@@ -124,6 +138,20 @@ class TestRender:
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert main(["render", "--out-dir", str(tmp_path)]) == 1
+
+    def test_inputs_sharing_a_stem_are_usage_error(self, pipeline_dir,
+                                                   tmp_path, capsys):
+        # a drawing and a configuration that would both write drawing.svg
+        config = tmp_path / "drawing.json"
+        config.write_text((pipeline_dir / "config_centers_a.json").read_text())
+        code = main(["render", "--drawing", str(pipeline_dir / "drawing.json"),
+                     "--configuration", str(config),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unitdist: error:" in err and "drawing.svg" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind, name, key", [
         ("drawing", "drawing", "positions"),
@@ -333,13 +361,17 @@ def _repeated_label(data):
     data["point_labels"][1] = data["point_labels"][0]
 
 
+def _non_unit_radius(data):
+    data["radius"] = 2.0
+
+
 class TestConfigurationReaderIsStrict:
     """Each edited configuration still parses as JSON with the right keys;
     none of them describes a structure the reader could keep whole."""
 
     @pytest.mark.parametrize("edit", [
         _nan_point, _infinite_center, _unknown_label, _repeated_incidence,
-        _repeated_label,
+        _repeated_label, _non_unit_radius,
     ], ids=lambda edit: edit.__name__)
     def test_usage_error(self, pipeline_dir, tmp_path, capsys, edit):
         data = json.loads((pipeline_dir / "config_centers_a.json").read_text())

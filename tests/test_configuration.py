@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from unitdist.configuration import (Circle, IncidenceStructure,
-                                    NotFaithfulError, build_point_circle, dual,
+from unitdist.configuration import (IncidenceStructure, NotFaithfulError,
+                                    build_point_circle, dual,
                                     validate_configuration)
 from unitdist.layout import Drawing, circular_layout
 
@@ -23,23 +23,24 @@ def centers_b(faithful_drawing, gp83_bipartition):
 class TestBuild:
     def test_counts_and_labels(self, centers_a, gp83_bipartition):
         assert len(centers_a.points) == 8
-        assert len(centers_a.circles) == 8
+        assert len(centers_a.centers) == 8
         assert centers_a.circle_labels == tuple(sorted(gp83_bipartition.class_a))
         assert centers_a.point_labels == tuple(sorted(gp83_bipartition.class_b))
 
     def test_all_radii_unit(self, centers_a):
-        assert all(c.radius == 1.0 for c in centers_a.circles)
+        assert centers_a.to_json_dict()["radius"] == 1.0
 
     def test_incidence_equals_cross_class_adjacency(self, centers_a, centers_b,
                                                     faithful_drawing):
         g = faithful_drawing.graph
         for s in (centers_a, centers_b):
-            for i, (pv, point) in enumerate(zip(s.point_labels, s.points)):
-                for j, (cv, circle) in enumerate(zip(s.circle_labels, s.circles)):
-                    assert s.incidence[i][j] == g.has_edge(pv, cv)
+            pairs = set(s.incidence)
+            for pv, point in zip(s.point_labels, s.points):
+                for cv, center in zip(s.circle_labels, s.centers):
+                    assert ((pv, cv) in pairs) == g.has_edge(pv, cv)
                     # the metric oracle: incident exactly at distance 1
-                    on_circle = abs(math.dist(point, circle.center) - 1.0) <= 1e-9
-                    assert s.incidence[i][j] == on_circle
+                    on_circle = abs(math.dist(point, center) - 1.0) <= 1e-9
+                    assert ((pv, cv) in pairs) == on_circle
 
     def test_point_positions_come_from_the_drawing(self, centers_a,
                                                    faithful_drawing):
@@ -47,7 +48,7 @@ class TestBuild:
             assert pt == faithful_drawing.positions[label]
 
     def test_degree_sum_counts_cross_edges(self, centers_a):
-        assert sum(sum(row) for row in centers_a.incidence) == 24
+        assert len(centers_a.incidence) == 24
 
     def test_non_faithful_drawing_rejected(self, gp83_bipartition):
         with pytest.raises(NotFaithfulError):
@@ -67,14 +68,14 @@ class TestValidate:
         empty = IncidenceStructure((), (), (), (), ())
         check = validate_configuration(empty)
         assert check.signature == (0, 0, 0, 0)
-        assert check.is_valid
+        assert check.violations == ()
 
     def test_duplicated_circle_violates_pair_axiom(self):
         # two identical circles through the same two points
         structure = IncidenceStructure(
             points=((0.0, 0.0), (1.0, 0.0)),
-            circles=(Circle((0.5, 0.8), 1.0), Circle((0.5, 0.8), 1.0)),
-            incidence=((True, True), (True, True)),
+            centers=((0.5, 0.8), (0.5, 0.8)),
+            incidence=((0, 2), (0, 3), (1, 2), (1, 3)),
             point_labels=(0, 1),
             circle_labels=(2, 3),
         )
@@ -85,8 +86,8 @@ class TestValidate:
     def test_uneven_degrees_reported(self):
         structure = IncidenceStructure(
             points=((0.0, 0.0), (1.0, 0.0)),
-            circles=(Circle((0.5, 0.8), 1.0),),
-            incidence=((True,), (False,)),
+            centers=((0.5, 0.8),),
+            incidence=((0, 2),),
             point_labels=(0, 1),
             circle_labels=(2,),
         )
@@ -100,13 +101,16 @@ class TestDual:
         d = dual(centers_a)
         assert d.point_labels == centers_a.circle_labels
         assert d.circle_labels == centers_a.point_labels
-        assert d.points == tuple(c.center for c in centers_a.circles)
+        assert d.points == centers_a.centers
 
     def test_incidence_transposes(self, centers_a):
         d = dual(centers_a)
+        d_pairs, a_pairs = set(d.incidence), set(centers_a.incidence)
         for i in range(8):
             for j in range(8):
-                assert d.incidence[i][j] == centers_a.incidence[j][i]
+                assert (((d.point_labels[i], d.circle_labels[j]) in d_pairs)
+                        == ((centers_a.point_labels[j],
+                             centers_a.circle_labels[i]) in a_pairs))
 
     def test_involution(self, centers_a):
         assert dual(dual(centers_a)) == centers_a
@@ -124,13 +128,14 @@ class TestStructureType:
         with pytest.raises(ValueError):
             IncidenceStructure(((0.0, 0.0),), (), (), (), ())
         with pytest.raises(ValueError):
-            IncidenceStructure(((0.0, 0.0),), (Circle((1.0, 0.0), 1.0),),
-                               ((True, True),), (0,), (1,))
+            IncidenceStructure(((0.0, 0.0),), ((1.0, 0.0),),
+                               ((0, 1), (0, 2)), (0,), (1,))
 
     def test_non_unit_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
-            IncidenceStructure(((0.0, 0.0),), (Circle((1.0, 0.0), 2.0),),
-                               ((True,),), (0,), (1,))
+            IncidenceStructure.from_json_dict({
+                "points": [[0.0, 0.0]], "centers": [[1.0, 0.0]], "radius": 2.0,
+                "point_labels": [0], "circle_labels": [1], "incidences": [[0, 1]]})
 
     def test_json_round_trip(self, centers_a):
         data = centers_a.to_json_dict()
@@ -143,30 +148,30 @@ class TestStructureValues:
     """The constructor owns every value check; the JSON reader only looks up
     keys, so these hold for structures built in code too."""
 
-    CIRCLE = Circle((1.0, 0.0), 1.0)
+    CENTER = (1.0, 0.0)
 
     def test_labels_must_be_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
-            IncidenceStructure(((0.0, 0.0),), (self.CIRCLE,), ((True,),),
+            IncidenceStructure(((0.0, 0.0),), (self.CENTER,), ((0, 0),),
                                (0,), (0,))
         with pytest.raises(ValueError, match="distinct"):
-            IncidenceStructure(((0.0, 0.0), (2.0, 0.0)), (self.CIRCLE,),
-                               ((True,), (True,)), (0, 0), (1,))
+            IncidenceStructure(((0.0, 0.0), (2.0, 0.0)), (self.CENTER,),
+                               ((0, 1), (0, 1)), (0, 0), (1,))
 
     @pytest.mark.parametrize("point", [(float("nan"), 0.0), (0.0, float("inf"))])
     def test_rejects_non_finite_points(self, point):
         with pytest.raises(ValueError, match="non-finite"):
-            IncidenceStructure((point,), (self.CIRCLE,), ((True,),), (0,), (1,))
+            IncidenceStructure((point,), (self.CENTER,), ((0, 1),), (0,), (1,))
 
     def test_rejects_non_finite_centres(self):
         with pytest.raises(ValueError, match="non-finite"):
-            IncidenceStructure(((0.0, 0.0),), (Circle((float("-inf"), 0.0), 1.0),),
-                               ((True,),), (0,), (1,))
+            IncidenceStructure(((0.0, 0.0),), ((float("-inf"), 0.0),),
+                               ((0, 1),), (0,), (1,))
 
     @pytest.mark.parametrize("label", [True, 1.0, "1"])
     def test_labels_are_integers(self, label):
         with pytest.raises(TypeError):
-            IncidenceStructure(((0.0, 0.0),), (self.CIRCLE,), ((True,),),
+            IncidenceStructure(((0.0, 0.0),), (self.CENTER,), ((0, label),),
                                (0,), (label,))
 
     def test_incidence_tolerance_defaults_to_edge_tol(self, faithful_drawing,
@@ -179,4 +184,4 @@ class TestStructureValues:
             build_point_circle(scaled, gp83_bipartition, "a")
         structure = build_point_circle(scaled, gp83_bipartition, "a",
                                        edge_tol=1e-6)
-        assert sum(map(sum, structure.incidence)) == 24
+        assert len(structure.incidence) == 24

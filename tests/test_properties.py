@@ -1,4 +1,5 @@
-"""Property tests: artifact JSON round trips, and mutated artifacts at the CLI.
+"""Property tests: artifact JSON round trips, mutated artifacts at the CLI,
+and configuration axioms against an incidence-matrix oracle.
 
 Examples are derandomized, so every run checks the same 100 cases per test.
 """
@@ -9,13 +10,15 @@ import dataclasses
 import io
 import json
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unitdist._jsonfmt import dumps
 from unitdist.cli import main
-from unitdist.configuration import Circle, IncidenceStructure
+from unitdist.configuration import (ConfigurationCheck, IncidenceStructure,
+                                    dual, validate_configuration)
 from unitdist.graph import Graph
 from unitdist.layout import Drawing
 from unitdist.solver import (RhombusParams, solution_from_json_dict,
@@ -124,12 +127,11 @@ def structures(draw):
     v, b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     labels = draw(st.lists(st.integers(0, 10 ** 6), min_size=v + b,
                            max_size=v + b, unique=True))
-    row = st.lists(st.booleans(), min_size=b, max_size=b).map(tuple)
+    pairs = [(pl, cl) for pl in labels[:v] for cl in labels[v:]]
     return IncidenceStructure(
         points=tuple(draw(st.lists(points, min_size=v, max_size=v))),
-        circles=tuple(Circle(c, 1.0)
-                      for c in draw(st.lists(points, min_size=b, max_size=b))),
-        incidence=tuple(draw(st.lists(row, min_size=v, max_size=v))),
+        centers=tuple(draw(st.lists(points, min_size=b, max_size=b))),
+        incidence=tuple(draw(st.sets(st.sampled_from(pairs))) if pairs else ()),
         point_labels=tuple(labels[:v]),
         circle_labels=tuple(labels[v:]),
     )
@@ -149,6 +151,57 @@ def test_incidence_structure_json_round_trip(structure):
     data = structure.to_json_dict()
     assert IncidenceStructure.from_json_dict(data) == structure
     assert IncidenceStructure.from_json_dict(json.loads(dumps(data))) == structure
+
+
+def _matrix_validate(s: IncidenceStructure) -> ConfigurationCheck:
+    """The configuration axioms checked over the incidence matrix that the
+    pairs describe: the oracle for validate_configuration."""
+    pairs = set(s.incidence)
+    incidence = [[(pl, cl) in pairs for cl in s.circle_labels]
+                 for pl in s.point_labels]
+    v, b = len(s.points), len(s.centers)
+    point_deg = [sum(row) for row in incidence]
+    circle_deg = [sum(incidence[i][j] for i in range(v)) for j in range(b)]
+    r = point_deg[0] if point_deg else 0
+    c = circle_deg[0] if circle_deg else 0
+
+    violations: list[str] = []
+    for i, deg in enumerate(point_deg):
+        if deg != r:
+            violations.append(f"point {i} lies on {deg} circles, expected {r}")
+    for j, deg in enumerate(circle_deg):
+        if deg != c:
+            violations.append(f"circle {j} passes through {deg} points, expected {c}")
+    for i, j in combinations(range(v), 2):
+        shared = sum(1 for t in range(b) if incidence[i][t] and incidence[j][t])
+        if shared > 1:
+            violations.append(f"points {i} and {j} share {shared} circles")
+    for i, j in combinations(range(b), 2):
+        shared = sum(1 for t in range(v) if incidence[t][i] and incidence[t][j])
+        if shared > 1:
+            violations.append(f"circles {i} and {j} share {shared} points")
+
+    if violations:
+        return ConfigurationCheck(None, tuple(violations))
+    return ConfigurationCheck((v, b, r, c), ())
+
+
+@PROPERTY
+@given(structure=structures())
+# a square with a pendant edge: every kind of violation, in either role
+@example(structure=IncidenceStructure(
+    ((1.0, 0.0), (0.0, 1.0)), ((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)),
+    ((1, 0), (1, 2), (1, 4), (3, 0), (3, 2)), (1, 3), (0, 2, 4)))
+def test_validate_configuration_matches_matrix_oracle(structure):
+    check = validate_configuration(structure)
+    assert check == _matrix_validate(structure)
+    assert dual(dual(structure)) == structure
+    dual_signature = validate_configuration(dual(structure)).signature
+    if check.signature is None:
+        assert dual_signature is None
+    else:
+        v, b, r, c = check.signature
+        assert dual_signature == (b, v, c, r)
 
 
 small = st.floats(-3.0, 3.0)
