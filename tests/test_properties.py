@@ -1,7 +1,9 @@
 """Property tests: artifact JSON round trips, mutated artifacts at the CLI,
-and configuration axioms against an incidence-matrix oracle.
+configuration axioms against an incidence-matrix oracle, and verify against
+its scalar pair scans.
 
-Examples are derandomized, so every run checks the same 100 cases per test.
+Examples are derandomized, so every run checks the same 100 cases per test
+(300 for verify against its scalar scans).
 """
 
 import contextlib
@@ -20,10 +22,16 @@ from unitdist.cli import main
 from unitdist.configuration import (ConfigurationCheck, IncidenceStructure,
                                     dual, validate_configuration)
 from unitdist.graph import Graph
-from unitdist.layout import Drawing
+from unitdist.layout import Drawing, circular_layout
 from unitdist.solver import (RhombusParams, solution_from_json_dict,
                              solution_to_json_dict)
-from unitdist.verifier import verify
+from unitdist.verifier import (COINCIDENT_VERTICES,
+                               COLLINEAR_OVERLAPPING_EDGES,
+                               DEFAULT_DEGENERACY_TOL, DEFAULT_EDGE_TOL,
+                               DEFAULT_GAP_THRESHOLD, VERTEX_ON_EDGE_INTERIOR,
+                               Degeneracy, FaithfulnessReport,
+                               point_on_segment_interior, segments_overlap,
+                               verify)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None,
                     database=None)
@@ -232,3 +240,132 @@ def test_report_json_round_trip(drawing):
     report = verify(drawing)
     fields = dataclasses.asdict(report)
     assert json.loads(dumps(report.to_json_dict())) == _json_value(fields)
+
+
+def _scalar_verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
+                   gap_threshold: float = DEFAULT_GAP_THRESHOLD
+                   ) -> FaithfulnessReport:
+    """verify as plain loops over every pair, vertex/edge and edge pair,
+    with no screen: the oracle for verify."""
+    pos = d.positions
+    n = d.graph.n_vertices
+    edge_set = d.graph.edge_set
+
+    max_edge_residual = 0.0
+    edge_witness = None
+    min_gap = math.inf
+    gap_witness = None
+    min_sep = math.inf
+    sep_witness = None
+    degeneracies = []
+
+    for i, j in combinations(range(n), 2):
+        dist = math.dist(pos[i], pos[j])
+        if dist < min_sep:
+            min_sep, sep_witness = dist, (i, j)
+        if (i, j) in edge_set:
+            res = abs(dist - 1.0)
+            if res > max_edge_residual or edge_witness is None:
+                max_edge_residual, edge_witness = res, (i, j)
+        else:
+            gap = abs(dist - 1.0)
+            if gap < min_gap:
+                min_gap, gap_witness = gap, (i, j)
+        if dist < DEFAULT_DEGENERACY_TOL:
+            degeneracies.append(Degeneracy(COINCIDENT_VERTICES, (i, j)))
+
+    solid_edges = [e for e in d.graph.edges
+                   if math.dist(pos[e[0]], pos[e[1]]) > DEFAULT_DEGENERACY_TOL]
+    for a, b in solid_edges:
+        for v in range(n):
+            if v == a or v == b:
+                continue
+            if point_on_segment_interior(pos[v], pos[a], pos[b]):
+                degeneracies.append(Degeneracy(VERTEX_ON_EDGE_INTERIOR, (v, a, b)))
+    for e1, e2 in combinations(solid_edges, 2):
+        if segments_overlap(pos[e1[0]], pos[e1[1]], pos[e2[0]], pos[e2[1]]):
+            degeneracies.append(
+                Degeneracy(COLLINEAR_OVERLAPPING_EDGES, e1 + e2))
+
+    n_edges = len(d.graph.edges)
+    is_unit = max_edge_residual <= edge_tol
+    faithful = is_unit and min_gap >= gap_threshold and not degeneracies
+    return FaithfulnessReport(
+        is_unit_distance=is_unit,
+        is_faithful=faithful,
+        max_edge_residual=max_edge_residual,
+        max_edge_residual_witness=edge_witness,
+        min_nonedge_gap=min_gap,
+        min_nonedge_gap_witness=gap_witness,
+        min_vertex_separation=min_sep,
+        min_vertex_separation_witness=sep_witness,
+        degeneracies=tuple(degeneracies),
+        edge_tol=edge_tol,
+        gap_threshold=gap_threshold,
+        n_edges=n_edges,
+        n_nonadjacent_pairs=n * (n - 1) // 2 - n_edges,
+    )
+
+
+# half-integer points: coincident vertices, vertices on edges, collinear
+# overlapping edges and exact unit distances are all common
+grid = st.tuples(*[st.integers(-2, 2).map(lambda k: k / 2)] * 2)
+PUSHES = tuple(k * DEFAULT_DEGENERACY_TOL for k in (0.5, 1, 1.5, 2, 3))
+
+
+@st.composite
+def pushed(draw):
+    """A grid drawing with one to three vertices each moved a few
+    DEFAULT_DEGENERACY_TOL off another edge's interior, or along that edge
+    past one of its endpoints."""
+    drawing = draw(drawings(grid))
+    positions = list(drawing.positions)
+    for _ in range(draw(st.integers(1, 3)) if drawing.graph.edges else 0):
+        a, b = draw(st.sampled_from(drawing.graph.edges))
+        (ax, ay), (bx, by) = positions[a], positions[b]
+        length = math.hypot(bx - ax, by - ay)
+        others = [v for v in range(len(positions)) if v not in (a, b)]
+        if length == 0.0 or not others:
+            continue
+        ux, uy = (bx - ax) / length, (by - ay) / length
+        push = draw(st.sampled_from(PUSHES)) * draw(st.sampled_from((-1, 1)))
+        if draw(st.booleans()):
+            s = draw(st.sampled_from((0.25, 0.5, 0.75)))
+            moved = (ax + s * (bx - ax) - push * uy,
+                     ay + s * (by - ay) + push * ux)
+        else:
+            ex, ey = positions[draw(st.sampled_from((a, b)))]
+            moved = (ex + push * ux, ey + push * uy)
+        positions[draw(st.sampled_from(others))] = moved
+    return Drawing(drawing.graph, tuple(positions))
+
+
+@settings(PROPERTY, max_examples=300)
+# points at +-1.7e308: the differences overflow to inf
+@example(drawing=Drawing(Graph(3, ((0, 1), (1, 2))),
+                         ((1.7e308, 0.0), (-1.7e308, 0.0), (0.0, 0.0))))
+# |01| and |23| are equal under math.dist, but np.hypot screens |01| an ulp
+# away from |23|, on the far side: (0, 1) is the first witness of the least
+# separation (|45| = 1 is the least gap), then of the least gap (|45| = 0.2
+# is the least separation)
+@example(drawing=Drawing(Graph(6, ()), (
+    (0.0, 0.0), (0.2517, 0.1632), (0.0, 10.0), (0.2999785492331076, 10.0),
+    (20.0, 0.0), (21.0, 0.0))))
+@example(drawing=Drawing(Graph(6, ()), (
+    (0.0, 0.0), (0.512, 0.477), (0.0, 10.0), (0.699766389590126, 10.0),
+    (20.0, 0.0), (20.2, 0.0))))
+@given(drawing=st.one_of(drawings(grid), pushed(), drawings()))
+def test_verify_matches_scalar_scans(drawing):
+    assert verify(drawing) == _scalar_verify(drawing)
+
+
+@pytest.mark.parametrize("n, s, sign", [
+    (n, s, sign)
+    # every GP(n, s) of perfbench's family with a circular drawing, and more
+    for n, s in ((5, 2), (7, 2), (8, 3), (9, 4), (10, 2), (10, 3), (16, 1),
+                 (32, 1), (64, 1))
+    for sign in (1, -1)])
+def test_verify_matches_scalar_scans_on_circular_drawings(n, s, sign):
+    # equal distances of a symmetric drawing round apart by an ulp or two
+    drawing = circular_layout(n, s, sign)
+    assert verify(drawing) == _scalar_verify(drawing)

@@ -1,6 +1,8 @@
 """Faithfulness certification: pair scans, predicates, degeneracies."""
 
 import math
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -187,3 +189,27 @@ class TestArguments:
             verify(faithful_drawing, edge_tol=1e-2, gap_threshold=1e-3)
         with pytest.raises(ValueError):
             verify(faithful_drawing, edge_tol=0.0)
+
+    def test_nan_edge_tol_rejected(self, faithful_drawing):
+        with pytest.raises(ValueError, match="edge_tol"):
+            verify(faithful_drawing, edge_tol=math.nan)
+
+    def test_nan_gap_threshold_rejected(self, faithful_drawing):
+        with pytest.raises(ValueError, match="gap_threshold"):
+            verify(faithful_drawing, gap_threshold=math.nan)
+
+
+def test_screen_memory_is_bounded():
+    # 2,000 random points on a path: the vertex/edge and edge/edge scans have
+    # about 4e6 candidates each, so whole-matrix screens would hold ~100 MB
+    rng = random.Random(0)
+    n = 2000
+    d = Drawing(Graph(n, tuple((i, i + 1) for i in range(n - 1))),
+                tuple((rng.random(), rng.random()) for _ in range(n)))
+    tracemalloc.start()
+    try:
+        verify(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
