@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .configuration import (ConfigurationCheck, IncidenceStructure,
                             NotFaithfulError, build_point_circle, dual,
-                            validate_configuration)
+                            levi_drawing, validate_configuration)
 from .graph import (Bipartition, Graph, NotBipartiteError, automorphism_count,
                     bipartition, generalized_petersen)
 from .layout import (Drawing, InfeasibleLayoutError, circular_layout,
@@ -31,7 +31,7 @@ __all__ = [
     "SingularJacobian", "SolverError", "automorphism_count", "bipartition",
     "build_point_circle", "check_reflection_pair", "circular_layout",
     "circular_radii", "dual", "enumerate_solutions",
-    "generalized_petersen", "jacobian", "newton_solve",
+    "generalized_petersen", "jacobian", "levi_drawing", "newton_solve",
     "point_on_segment_interior", "render_configuration", "render_drawing",
     "residual", "rhombus_layout", "segments_overlap",
     "validate_configuration", "verify",

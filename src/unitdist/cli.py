@@ -16,7 +16,8 @@ from pathlib import Path
 from . import __version__
 from ._jsonfmt import dumps
 from .configuration import (IncidenceStructure, NotFaithfulError,
-                            build_point_circle, validate_configuration)
+                            build_point_circle, levi_drawing,
+                            validate_configuration)
 from .graph import NotBipartiteError, bipartition
 from .layout import Drawing, RhombusParams, circular_layout, rhombus_layout
 from .render import render_drawing, render_configuration
@@ -93,7 +94,7 @@ def _build_parser() -> _ArgumentParser:
                    help="solutions JSON (default: <out-dir>/solutions.json)")
 
     p = sub.add_parser("verify", parents=[common, verifying],
-                       help="certify drawings from JSON files")
+                       help="certify drawings or configurations from JSON files")
     p.set_defaults(run=cmd_verify)
     p.add_argument("drawings", type=Path, nargs="+", metavar="DRAWING.json")
 
@@ -139,13 +140,23 @@ def _solutions_from_json(data) -> list[RhombusParams]:
 _PARSERS = {"drawing": Drawing.from_json_dict,
             "configuration": IncidenceStructure.from_json_dict,
             "solutions": _solutions_from_json}
+_VERIFIABLE = "drawing or configuration"
 
 
 def _read(path: Path, kind: str):
-    """The kind of artifact stored in path; any failure is an _InputError."""
+    """The kind of artifact stored in path; any failure is an _InputError.
+
+    verify's kind reads a configuration, known by its incidences, as the
+    drawing of its Levi graph, and anything else as a drawing."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _PARSERS[kind](json.load(fh))
+            data = json.load(fh)
+        if kind != _VERIFIABLE:
+            return _PARSERS[kind](data)
+        kind = ("configuration" if isinstance(data, dict) and "incidences" in data
+                else "drawing")
+        item = _PARSERS[kind](data)
+        return levi_drawing(item) if kind == "configuration" else item
     except FileNotFoundError:
         raise _InputError(f"input file {path} not found") from None
     except json.JSONDecodeError as exc:
@@ -278,7 +289,7 @@ def cmd_layout(args) -> int:
 
 def cmd_verify(args) -> int:
     names = _names(args.drawings, "_report.json")
-    drawings = [_read(path, "drawing") for path in args.drawings]
+    drawings = [_read(path, _VERIFIABLE) for path in args.drawings]
     reports = [_verify(args, name, d) for name, d in zip(names, drawings)]
     return EXIT_OK if all(r.is_faithful for r in reports) else EXIT_VERDICT
 

@@ -4,7 +4,8 @@ One bipartition class of a faithful unit-distance drawing becomes the set
 of unit-circle centres; the other class becomes the configuration points.
 Faithfulness guarantees a point lies on a circle exactly when the matching
 vertices are adjacent, so the incidences are exactly the cross-class edges
-of the graph.
+of the graph.  Conversely a structure's Levi graph, with every label drawn
+at its point or centre, is a drawing that the verifier can check.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ._jsonfmt import json_index, json_number
-from .graph import Bipartition
+from .graph import Bipartition, Graph
 from .layout import Drawing
 from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD, verify)
 
@@ -154,6 +155,22 @@ def validate_configuration(s: IncidenceStructure) -> ConfigurationCheck:
     if degrees or shares:
         return ConfigurationCheck(None, tuple(degrees + shares))
     return ConfigurationCheck((len(s.points), len(s.centers), *regular), ())
+
+
+def levi_drawing(s: IncidenceStructure) -> Drawing:
+    """The drawing of the structure's Levi graph.
+
+    Its vertices are the points and centres, numbered by the rank of their
+    labels; its edges are the incidences.  A faithful Levi drawing puts
+    every point on exactly the unit circles it is listed on.  A structure
+    built from a drawing has that drawing back, as labels are vertex ids.
+    """
+    labels = sorted(s.point_labels + s.circle_labels)
+    rank = {label: i for i, label in enumerate(labels)}
+    xy = dict(zip(s.point_labels + s.circle_labels, s.points + s.centers))
+    return Drawing(Graph(len(labels), tuple((rank[pl], rank[cl])
+                                            for pl, cl in s.incidence)),
+                   tuple(xy[label] for label in labels))
 
 
 def dual(s: IncidenceStructure) -> IncidenceStructure:

@@ -378,12 +378,12 @@ class TestConfigurationReaderIsStrict:
         edit(data)
         path = tmp_path / "config_centers_a.json"
         path.write_text(json.dumps(data))
-        code = main(["render", "--configuration", str(path),
-                     "--out-dir", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "not a configuration artifact" in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        for command in (["render", "--configuration"], ["verify"]):
+            code = main([*command, str(path), "--out-dir", str(tmp_path / "o")])
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert "not a configuration artifact" in err and "Traceback" not in err
+            assert not (tmp_path / "o").exists()
 
     def test_literal_nan_solution_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "solutions.json"
@@ -395,6 +395,24 @@ class TestConfigurationReaderIsStrict:
 
 
 class TestConfigVerdicts:
+    def test_verify_checks_a_configuration_geometrically(self, pipeline_dir,
+                                                       tmp_path):
+        path = pipeline_dir / "config_centers_a.json"
+        assert main(["verify", str(path), "--out-dir", str(tmp_path)]) == 0
+        # the configuration's Levi drawing is the drawing it came from
+        assert (tmp_path / "config_centers_a_report.json").read_bytes() == \
+            (pipeline_dir / "drawing_report.json").read_bytes()
+        data = json.loads(path.read_text())
+        # point 0 leaves its three circles but keeps its incidences
+        data["points"][0] = [50.0, 50.0]
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(data))
+        assert main(["verify", str(moved), "--out-dir", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "moved_report.json").read_text())
+        assert report["is_unit_distance"] is False
+        # witnesses are label ranks; unitdist config's labels are 0..15
+        assert data["point_labels"][0] in report["max_edge_residual_witness"]
+
     def test_incidence_tolerance_follows_edge_tol(self, pipeline_dir, tmp_path):
         data = json.loads((pipeline_dir / "drawing.json").read_text())
         # every distance grows by 2e-7: faithful at edge tolerance 1e-6 only

@@ -1,6 +1,7 @@
 """Property tests: artifact JSON round trips, mutated artifacts at the CLI,
-configuration axioms against an incidence-matrix oracle, and verify against
-its scalar pair scans.
+configuration axioms against an incidence-matrix oracle, Levi drawings
+against the drawings they came from, and verify against its scalar pair
+scans.
 
 Examples are derandomized, so every run checks the same 100 cases per test
 (300 for verify against its scalar scans).
@@ -20,8 +21,9 @@ from hypothesis import example, given, settings, strategies as st
 from unitdist._jsonfmt import dumps
 from unitdist.cli import main
 from unitdist.configuration import (ConfigurationCheck, IncidenceStructure,
-                                    dual, validate_configuration)
-from unitdist.graph import Graph
+                                    build_point_circle, dual, levi_drawing,
+                                    validate_configuration)
+from unitdist.graph import Graph, bipartition
 from unitdist.layout import Drawing, circular_layout
 from unitdist.solver import (RhombusParams, solution_from_json_dict,
                              solution_to_json_dict)
@@ -210,6 +212,37 @@ def test_validate_configuration_matches_matrix_oracle(structure):
     else:
         v, b, r, c = check.signature
         assert dual_signature == (b, v, c, r)
+
+
+@pytest.mark.parametrize("centers_class", ["a", "b"])
+@pytest.mark.parametrize("sign", [None, 1, -1],
+                         ids=["rhombus", "gp10_3_plus", "gp10_3_minus"])
+def test_levi_drawing_of_a_built_structure_is_its_drawing(faithful_drawing,
+                                                          sign, centers_class):
+    # the tests' faithful, bipartite drawings: the rhombus drawing of
+    # GP(8,3) and both circular drawings of GP(10,3)
+    d = faithful_drawing if sign is None else circular_layout(10, 3, sign)
+    s = build_point_circle(d, bipartition(d.graph), centers_class)
+    assert levi_drawing(s) == d
+    assert levi_drawing(dual(s)) == levi_drawing(s)
+
+
+@PROPERTY
+@given(structure=structures())
+def test_levi_drawing_draws_labels_in_order(structure):
+    d = levi_drawing(structure)
+    labels = sorted(structure.point_labels + structure.circle_labels)
+    assert d.graph.n_vertices == len(labels)
+    assert d.graph.edges == tuple(sorted(
+        tuple(sorted((labels.index(pl), labels.index(cl))))
+        for pl, cl in structure.incidence))
+    for i, label in enumerate(labels):
+        if label in structure.point_labels:
+            xy = structure.points[structure.point_labels.index(label)]
+        else:
+            xy = structure.centers[structure.circle_labels.index(label)]
+        assert d.positions[i] == xy
+    assert levi_drawing(dual(structure)) == d
 
 
 small = st.floats(-3.0, 3.0)
