@@ -14,10 +14,16 @@ f1 makes the rhombus side span two unit edges; f2..f4 make the edges
 13-8, 13-10 and 13-5 unit length.  All remaining edges follow from the
 dihedral symmetry of the coordinate scheme.  RhombusParams and
 check_reflection_pair are defined in layout and re-exported here.
+
+The damped Newton iteration has two drivers over one set of residual and
+step formulas: enumerate_solutions runs many starts in lockstep on numpy
+arrays, and newton_solve runs one start on Python floats, where numpy's
+per-call cost would dominate.  Both give the same iterate, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -32,14 +38,11 @@ DEFAULT_DEDUPE_TOL = 1e-6
 DEFAULT_BOX: tuple[tuple[float, float], ...] = ((-3.0, 3.0),) * 4
 
 _SINGULAR_DET = 1e-14
-# J = diag(2, 2, 2, 1) K, so the Newton equation J step = -f is
-# K step = r with r = _STEP_RHS * f
-_STEP_RHS = np.array([[-0.5], [-0.5], [-0.5], [-1.0]])
-# the line search tries damping 1, 1/2, ..., 2**-20 in order, in three
-# vectorised blocks: the full step, which most seeds take, then these two,
-# [1/2 ... 1/16] and [1/32 ... 2**-20]
-_DAMPING_BLOCKS = tuple(np.ldexp(1.0, -np.arange(lo, hi))
-                        for lo, hi in ((1, 5), (5, 21)))
+# the line search tries damping 1, 1/2, ..., 2**-20 in order; the sweep
+# does so in three vectorised blocks: the full step, which most seeds
+# take, then [1/2 ... 1/16] and [1/32 ... 2**-20]
+_DAMPINGS = tuple(math.ldexp(1.0, -i) for i in range(21))
+_DAMPING_BLOCKS = (np.array(_DAMPINGS[1:5]), np.array(_DAMPINGS[5:]))
 
 # per-seed outcome of _newton_sweep; a seed still iterating holds BUDGET,
 # which stays its outcome when the iteration budget runs out
@@ -67,24 +70,35 @@ class ResidualVector(NamedTuple):
     f4: float
 
     def max_abs(self) -> float:
-        return max(abs(self.f1), abs(self.f2), abs(self.f3), abs(self.f4))
+        return _max_norm(self)
+
+
+def _residuals(h, k, p, q):
+    """The four residuals at (h, k, p, q): floats or equal-shape arrays.
+
+    Each square is t * t: Python's and numpy-scalar ** call pow, which can
+    differ from t * t by an ulp, and Python's raises OverflowError.
+    """
+    a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
+    return (h * h + k * k - 4.0, p * p + a * a - 1.0, q * q + b * b - 1.0,
+            c * c + d * d - 1.0)
 
 
 def _residual_array(x: np.ndarray) -> np.ndarray:
     """Residuals for (h, k, p, q) stacked along the first axis."""
-    h, k, p, q = x
     # np.array costs less per call than np.stack on these short lists
-    return np.array([
-        h * h + k * k - 4.0,
-        p * p + (q - k + 1.0) ** 2 - 1.0,
-        q * q + (p + h - 1.0) ** 2 - 1.0,
-        (p - 0.5 * h) ** 2 + (q + 0.5 * k) ** 2 - 1.0,
-    ])
+    return np.array(_residuals(*x))
+
+
+def _max_norm(f) -> float:
+    """max |f_i| of float residuals; NaN when one is NaN, as in numpy."""
+    a = list(map(abs, f))
+    total = sum(a)  # NaN only when one of a is NaN
+    return total if total != total else max(a)
 
 
 def residual(params: RhombusParams) -> ResidualVector:
-    values = _residual_array(np.asarray(params.as_tuple(), dtype=float))
-    return ResidualVector(*values.tolist())
+    return ResidualVector(*_residuals(*map(float, params.as_tuple())))
 
 
 def jacobian(params: RhombusParams) -> np.ndarray:
@@ -97,23 +111,25 @@ def jacobian(params: RhombusParams) -> np.ndarray:
                      [-c, d, 2.0 * c, 2.0 * d]])
 
 
-def _newton_step(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Newton steps for the columns of x, shape (4, m), with residuals f.
+def _step_terms(h, k, p, q, f1, f2, f3, f4, maximum):
+    """Numerators and determinant of the Newton step, and its singular test.
 
+    Takes floats with maximum=max or equal-shape arrays with np.maximum.
     The Jacobian is diag(2, 2, 2, 1) K with
 
         K = [[h, k, 0, 0], [0, -a, p, a], [b, 0, b, q], [-c, d, 2c, 2d]],
         a = q - k + 1, b = p + h - 1, c = p - h/2, d = q + k/2,
 
-    so the step is adj(K) r / det K with r = (-f1/2, -f2/2, -f3/2, -f4).
-    A column is singular when its Jacobian, each row scaled by its max-abs
+    so the Newton equation J step = -f is K step = r with
+    r = (-f1/2, -f2/2, -f3/2, -f4), and the step is adj(K) r / det K.
+    The step is singular when the Jacobian, each row scaled by its max-abs
     entry, has |det| < 1e-14; that is |det K| <= 2e-14 times the product of
-    the row maxima of K, which also holds when a row is zero.  Singular
-    columns get a zero step.  Returns the steps, shape (4, m), and the
-    singular mask.
+    the row maxima of K, which also holds when a row is zero.  A NaN entry
+    of K makes det K NaN and the test False, so max, which may drop a NaN,
+    gives the same verdict as np.maximum.  Returns the four numerators of
+    adj(K) r, det K and the singular verdict.
     """
-    h, k, p, q = x
-    r0, r1, r2, r3 = f * _STEP_RHS
+    r0, r1, r2, r3 = -0.5 * f1, -0.5 * f2, -0.5 * f3, -1.0 * f4
     a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
     ab, ac, bd, pq = a * b, a * c, b * d, p * q
     cq, dp, ck, dh = c * q, d * p, c * k, d * h
@@ -122,20 +138,31 @@ def _newton_step(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a0 = d * g + ac2 * q
     a1 = c * g + bd2 * p
     det = h * a0 + k * a1  # a0, a1: the cofactors of h and k in K
-    scale = (np.maximum(np.abs(h), np.abs(k)) * np.maximum(np.abs(a), np.abs(p))
-             * np.maximum(np.abs(b), np.abs(q)) * np.maximum(np.abs(c), np.abs(d)))
-    singular = np.abs(det) <= 2.0 * _SINGULAR_DET * scale
+    scale = (maximum(abs(h), abs(k)) * maximum(abs(a), abs(p))
+             * maximum(abs(b), abs(q)) * maximum(abs(c), abs(d)))
+    singular = abs(det) <= 2.0 * _SINGULAR_DET * scale
     # e is shared by the first two rows of adj(K) r, u by the last two
     e = 2.0 * (r1 * (cq - bd) + r2 * (dp - ac)) + r3 * (ab - pq)
     u = ck + dh
-    numerators = np.array([
+    numerators = (
         a0 * r0 + k * e,
         a1 * r0 - h * e,
         a * ((bd2 + bd + cq) * r0 - (u + dh + dh) * r2 + (h * q - b * k) * r3)
         + (bd2 * k + q * u) * r1,
         b * ((p * k - a * h) * r3 - (ac2 + ac + dp) * r0 - (u + ck + ck) * r1)
         + (ac2 * h + p * u) * r2,
-    ])
+    )
+    return numerators, det, singular
+
+
+def _newton_step(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps for the columns of x, shape (4, m), with residuals f.
+
+    Singular columns (see _step_terms) get a zero step.  Returns the steps,
+    shape (4, m), and the singular mask.
+    """
+    numerators, det, singular = _step_terms(*x, *f, np.maximum)
+    numerators = np.array(numerators)
     step = np.divide(numerators, det, out=np.zeros_like(numerators),
                      where=~singular)
     return step, singular
@@ -144,21 +171,55 @@ def _newton_step(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def newton_solve(seed: RhombusParams) -> RhombusParams:
     """Damped Newton iteration until the residual max-norm is <= DEFAULT_TOL.
 
-    This is the one-row case of the lockstep sweep that enumerate_solutions
-    runs.  Raises SingularJacobian when the equilibrated Jacobian
-    determinant falls below 1e-14, and NoConvergence when DEFAULT_MAX_ITER
-    iterations run out or the line search stalls at minimum damping.
+    It runs on Python floats the iteration that enumerate_solutions runs
+    in lockstep on arrays, with the same arithmetic, so its result is bit
+    for bit that seed's row of the sweep.  Raises SingularJacobian when the
+    equilibrated Jacobian determinant falls below 1e-14, and NoConvergence
+    when DEFAULT_MAX_ITER iterations run out or the line search stalls at
+    minimum damping.
     """
-    [x], [status] = _newton_sweep([seed.as_tuple()], DEFAULT_TOL, DEFAULT_MAX_ITER)
+    x, status = _newton_scalar(seed.as_tuple())
     if status == CONVERGED:
-        return RhombusParams(*x.tolist())
+        return RhombusParams(*x)
     if status == SINGULAR:
-        raise SingularJacobian(f"singular Jacobian at {tuple(x.tolist())}")
-    fnorm = float(np.abs(_residual_array(x)).max())
+        raise SingularJacobian(f"singular Jacobian at {x}")
+    fnorm = _max_norm(_residuals(*x))
     if status == STALLED:
         raise NoConvergence(f"line search stalled at residual {fnorm:.3e}")
     raise NoConvergence(f"no convergence after {DEFAULT_MAX_ITER} iterations "
                         f"(residual {fnorm:.3e})")
+
+
+def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
+    """_newton_sweep on one start, in Python floats, at DEFAULT_TOL and
+    DEFAULT_MAX_ITER: the same final iterate, bit for bit, and status."""
+    x = tuple(map(float, start))
+    f = _residuals(*x)
+    fn = _max_norm(f)
+    for _ in range(DEFAULT_MAX_ITER):
+        if fn <= DEFAULT_TOL:
+            return x, CONVERGED
+        numerators, det, singular = _step_terms(*x, *f, max)
+        if singular:  # the sweep's zero step lowers no norm
+            return x, SINGULAR
+        if not det:
+            # only a NaN row-maxima product (0 times inf) lets a zero det
+            # pass the test; the sweep's step is then all inf or NaN, and
+            # every trial has a residual norm of inf or NaN
+            return x, STALLED
+        h, k, p, q = x
+        sh, sk, sp, sq = (n / det for n in numerators)
+        for damping in _DAMPINGS:
+            trial = (h + damping * sh, k + damping * sk, p + damping * sp,
+                     q + damping * sq)
+            f_trial = _residuals(*trial)
+            fn_trial = _max_norm(f_trial)
+            if fn_trial < fn:
+                break
+        else:
+            return x, STALLED
+        x, f, fn = trial, f_trial, fn_trial
+    return x, CONVERGED if fn <= DEFAULT_TOL else BUDGET
 
 
 def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
@@ -201,6 +262,9 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     return sorted(solutions)
 
 
+# a huge or non-finite start overflows to inf or NaN, which no comparison
+# accepts as progress, so numpy's warnings about it are noise
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_sweep(seeds: np.ndarray, tol: float,
                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on every row of seeds, in lockstep.

@@ -1,7 +1,11 @@
 """Residuals, Jacobians, Newton iteration, and root enumeration."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import KNOWN_SOLUTION, REFERENCE_6DP, REFLECTED_SOLUTION
 from unitdist import solver
@@ -9,10 +13,11 @@ from unitdist.layout import _is_nondegenerate
 from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_BOX, DEFAULT_MAX_ITER,
                              DEFAULT_TOL, SINGULAR, STALLED, NoConvergence,
                              RhombusParams, SingularJacobian, SolverError,
-                             _newton_step, _newton_sweep, _residual_array,
-                             check_reflection_pair, enumerate_solutions,
-                             jacobian, newton_solve, residual,
-                             solution_from_json_dict, solution_to_json_dict)
+                             _newton_scalar, _newton_step, _newton_sweep,
+                             _residual_array, check_reflection_pair,
+                             enumerate_solutions, jacobian, newton_solve,
+                             residual, solution_from_json_dict,
+                             solution_to_json_dict)
 
 
 class TestResidual:
@@ -29,6 +34,10 @@ class TestResidual:
     def test_frozen_root_solves(self):
         assert residual(RhombusParams(*KNOWN_SOLUTION)).max_abs() < 1e-12
         assert residual(RhombusParams(*REFLECTED_SOLUTION)).max_abs() < 1e-12
+
+    def test_max_abs_is_nan_when_a_residual_is(self):
+        # f1 = 0 comes first; a max that dropped NaN would return it
+        assert math.isnan(residual(RhombusParams(2.0, 0.0, math.nan, 0.0)).max_abs())
 
     def test_single_sign_flips_break_the_system(self):
         # guards against accidentally assuming axiswise sign symmetry
@@ -94,7 +103,7 @@ class TestNewtonSolve:
 
 
 class TestSharedSweep:
-    """newton_solve is the one-row case of the lockstep sweep."""
+    """newton_solve, on floats, against its row of the lockstep sweep."""
 
     ERRORS = {SINGULAR: SingularJacobian, STALLED: NoConvergence,
               BUDGET: NoConvergence}
@@ -146,6 +155,15 @@ def _closed_form(rows):
     return _newton_step(x, _residual_array(x))
 
 
+EXACTLY_SINGULAR = [
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 0.0, 1.3, -0.7),    # h = k = 0: row 1 of J is zero
+    (0.7, 1.5, 0.0, 0.5),     # a = p = 0: row 2
+    (0.25, -1.1, 0.75, 0.0),  # b = q = 0: row 3
+    (1.0, 0.5, 0.5, -0.25),   # c = d = 0: row 4
+]
+
+
 class TestClosedFormStep:
     """_newton_step against np.linalg on the full 4x4 Jacobian."""
 
@@ -182,13 +200,8 @@ class TestClosedFormStep:
         assert singular.tolist() == verdicts
         assert not step[:, singular].any()
 
-    @pytest.mark.parametrize("row", [
-        (0.0, 0.0, 0.0, 0.0),
-        (0.0, 0.0, 1.3, -0.7),    # h = k = 0: row 1 of J is zero
-        (0.7, 1.5, 0.0, 0.5),     # a = p = 0: row 2
-        (0.25, -1.1, 0.75, 0.0),  # b = q = 0: row 3
-        (1.0, 0.5, 0.5, -0.25),   # c = d = 0: row 4
-    ], ids=["origin", "h-k", "a-p", "b-q", "c-d"])
+    @pytest.mark.parametrize("row", EXACTLY_SINGULAR,
+                             ids=["origin", "h-k", "a-p", "b-q", "c-d"])
     def test_exactly_singular_points(self, row):
         assert _lapack_singular(row)
         step, singular = _closed_form([row])
@@ -196,6 +209,58 @@ class TestClosedFormStep:
         assert step.tolist() == [[0.0]] * 4
         with pytest.raises(SingularJacobian):
             newton_solve(RhombusParams(*row))
+
+
+# starts whose arithmetic overflows or is not finite from the first step
+NONFINITE_STARTS = [
+    (1e200, 1.0, 1.0, 1.0),
+    (1.7e308, -1.7e308, 1.7e308, -1.7e308),
+    (-1.7e308, 1.7e308, -1.7e308, 1.7e308),
+    (1e154, 1e154, 1e154, 1e154),
+    # b = q = 0 zeroes row 3 of K, and the product of the row maxima is
+    # 1e200 * 1e200 * 0 = inf * 0 = NaN, so det K = 0 passes the test
+    (0.5, 1e200, 0.5, 0.0),
+    (math.inf, 0.0, 0.0, 0.0),
+    (-math.inf, 1.0, -math.inf, 1.0),
+    (math.nan, 1.0, 1.0, 1.0),
+    # f1 = 0 and NaN f2..f4: a norm that dropped NaN would call it converged
+    (2.0, 0.0, math.nan, math.nan),
+    (math.inf, math.inf, math.inf, math.inf),
+]
+
+
+@pytest.mark.parametrize("start", NONFINITE_STARTS)
+def test_nonfinite_start_raises_only_a_solver_error(start):
+    # no numpy warning, OverflowError or ZeroDivisionError escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((SingularJacobian, NoConvergence)):
+            newton_solve(RhombusParams(*start))
+
+
+def _with_examples(starts):
+    def add(test):
+        for start in starts:
+            test = example(start=start)(test)
+        return test
+    return add
+
+
+box = st.floats(-3.0, 3.0)
+# each coordinate from the box or any float: huge, infinite and NaN too
+wild = st.one_of(box, st.floats())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(start=st.one_of(st.tuples(box, box, box, box),
+                       st.tuples(wild, wild, wild, wild)))
+@_with_examples(EXACTLY_SINGULAR + NONFINITE_STARTS)
+def test_scalar_driver_matches_its_row_of_the_sweep(start):
+    [row], [status] = _newton_sweep([start], DEFAULT_TOL, DEFAULT_MAX_ITER)
+    x, code = _newton_scalar(start)
+    assert code == status
+    # float.hex is exact, tells -0.0 from 0.0 and writes every NaN as nan
+    assert [t.hex() for t in x] == [t.hex() for t in row.tolist()]
 
 
 class TestSeedStream:
