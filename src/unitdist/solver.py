@@ -43,6 +43,11 @@ _SINGULAR_DET = 1e-14
 # take, then [1/2 ... 1/16] and [1/32 ... 2**-20]
 _DAMPINGS = tuple(math.ldexp(1.0, -i) for i in range(21))
 _DAMPING_BLOCKS = (np.array(_DAMPINGS[1:5]), np.array(_DAMPINGS[5:]))
+# memory bounds, neither of which changes a result: enumerate_solutions
+# draws and sweeps at most _CHUNK starts at a time, and _newton_sweep
+# evaluates at most _BLOCK columns, or column x damping trials, at a time
+_CHUNK = 16_384
+_BLOCK = 4_096
 
 # per-seed outcome of _newton_sweep; a seed still iterating holds BUDGET,
 # which stays its outcome when the iteration budget runs out
@@ -226,14 +231,15 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
                         tol: float = DEFAULT_TOL) -> list[RhombusParams]:
     """All distinct non-degenerate roots found from seed_count random starts.
 
-    The seeds are one draw, default_rng(rng_seed).uniform(lows, highs,
-    (seed_count, 4)), from DEFAULT_BOX.  PCG64 draws are sequential, so seed
-    i is the same for any seed_count and for any split of the draw into
-    consecutive chunks, and the result cannot depend on execution order.
-    The Newton sweeps (residual max-norm <= tol, at most DEFAULT_MAX_ITER
-    steps) run vectorized in lockstep.  Converged iterates are deduplicated
-    (max-norm distance < DEFAULT_DEDUPE_TOL), filtered to non-degenerate
-    roots, and returned sorted lexicographically by (h, k, p, q).
+    The seeds are the draw default_rng(rng_seed).uniform(lows, highs,
+    (seed_count, 4)) from DEFAULT_BOX, taken and swept in consecutive
+    chunks of _CHUNK rows.  PCG64 draws are sequential, so seed i is the
+    same for any seed_count and any chunking, and the result cannot depend
+    on execution order.  The Newton sweeps (residual max-norm <= tol, at
+    most DEFAULT_MAX_ITER steps) run vectorized in lockstep.  Converged
+    iterates are deduplicated (max-norm distance < DEFAULT_DEDUPE_TOL),
+    filtered to non-degenerate roots, and returned sorted lexicographically
+    by (h, k, p, q).  Memory is O(_CHUNK + converged rows).
 
     A root is non-degenerate when h > 0, k > 0 and the 16 derived vertex
     positions are pairwise at least 1e-6 apart.  An empty list just means
@@ -241,25 +247,36 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     """
     if seed_count < 1:
         raise ValueError("seed_count must be at least 1")
-    lows, highs = np.array(DEFAULT_BOX).T
-    seeds = np.random.default_rng(rng_seed).uniform(lows, highs, (seed_count, 4))
-    x, status = _newton_sweep(seeds, tol, DEFAULT_MAX_ITER)
-    roots = x[status == CONVERGED]
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    roots = _converged_rows(seed_count, rng_seed, tol)
 
-    # the first remaining sorted row represents every row within the tolerance
+    # the first remaining sorted row represents every row within the
+    # tolerance; it is kept as floats, as a view would keep its array alive
     remaining = roots[np.lexsort(roots.T[::-1])]
-    representatives: list[np.ndarray] = []
+    del roots
+    representatives = []
     while len(remaining):
-        representatives.append(remaining[0])
+        representatives.append(RhombusParams(*remaining[0].tolist()))
         remaining = remaining[np.abs(remaining - remaining[0]).max(axis=1)
                               >= DEFAULT_DEDUPE_TOL]
+    return sorted(filter(_is_nondegenerate, representatives))
 
-    solutions = []
-    for row in representatives:
-        params = RhombusParams(*row.tolist())
-        if _is_nondegenerate(params):
-            solutions.append(params)
-    return sorted(solutions)
+
+def _converged_rows(seed_count: int, rng_seed: int, tol: float) -> np.ndarray:
+    """The converged final iterates of the seeds, in seed order, shape (m, 4).
+
+    Each chunk of starts is drawn, swept and dropped before the next, so
+    only the converged rows outlive it.
+    """
+    lows, highs = np.array(DEFAULT_BOX).T
+    rng = np.random.default_rng(rng_seed)
+    rows = []
+    for done in range(0, seed_count, _CHUNK):
+        seeds = rng.uniform(lows, highs, (min(_CHUNK, seed_count - done), 4))
+        x, status = _newton_sweep(seeds, tol, DEFAULT_MAX_ITER)
+        rows.append(x[status == CONVERGED])
+    return np.concatenate(rows)
 
 
 # a huge or non-finite start overflows to inf or NaN, which no comparison
@@ -278,10 +295,10 @@ def _newton_sweep(seeds: np.ndarray, tol: float,
     closed-form too: |det K| <= 2e-14 times the product of K's row maxima,
     with no LAPACK call.  Only active seeds are kept, as the columns of a
     (4, m) state; a seed's row of the result is written when it stops.
+    A pass runs on _BLOCK columns at a time (_newton_pass), and the columns
+    are independent, so the iterates do not depend on _BLOCK.
     Returns the final iterates, shape (n, 4), and the per-seed statuses.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     x = np.array(seeds, dtype=float)
     f = _residual_array(x.T)
     fnorm = np.abs(f).max(axis=0)
@@ -293,36 +310,10 @@ def _newton_sweep(seeds: np.ndarray, tol: float,
     for _ in range(max_iter):
         if live.size == 0:
             break
-        step, singular = _newton_step(xs, fs)
-
-        trial = xs + step
-        f_trial = _residual_array(trial)
-        fn_trial = np.abs(f_trial).max(axis=0)
-        hit = fn_trial < fn
-        xs = np.where(hit, trial, xs)
-        fs = np.where(hit, f_trial, fs)
-        fn = np.where(hit, fn_trial, fn)
-        todo = np.flatnonzero(~hit)  # columns no damping has improved yet
-        step = step[:, todo]
-        for damping in _DAMPING_BLOCKS:
-            if todo.size == 0:
-                break
-            trial = xs[:, todo, None] + damping * step[:, :, None]
-            f_trial = _residual_array(trial)
-            fn_trial = np.abs(f_trial).max(axis=0)
-            better = fn_trial < fn[todo, None]
-            hit = better.any(axis=1)
-            first = better[hit].argmax(axis=1)
-            done = todo[hit]
-            xs[:, done] = trial[:, hit, first]
-            fs[:, done] = f_trial[:, hit, first]
-            fn[done] = fn_trial[hit, first]
-            todo, step = todo[~hit], step[:, ~hit]
-
-        # a singular column has a zero step, so no damping improves it
-        code = np.where(fn <= tol, CONVERGED, BUDGET)
-        if todo.size:
-            code[todo] = np.where(singular[todo], SINGULAR, STALLED)
+        code = np.empty_like(live)
+        for lo in range(0, live.size, _BLOCK):
+            cols = slice(lo, lo + _BLOCK)
+            code[cols] = _newton_pass(xs[:, cols], fs[:, cols], fn[cols], tol)
         stop = code != BUDGET
         if stop.any():
             x[live[stop]] = xs[:, stop].T
@@ -332,6 +323,60 @@ def _newton_sweep(seeds: np.ndarray, tol: float,
 
     x[live] = xs.T
     return x, status
+
+
+def _newton_pass(x: np.ndarray, f: np.ndarray, fn: np.ndarray,
+                 tol: float) -> np.ndarray:
+    """One damped Newton step on the columns of x, in place; their codes.
+
+    x and f, shape (4, m), and fn, shape (m,), are the iterates, residuals
+    and residual norms; a column's damping is the first one that lowers its
+    norm.  Each line-search block runs on at most _BLOCK column x damping
+    trials at a time.  Returns CONVERGED, SINGULAR, STALLED or, for a
+    column still iterating, BUDGET.
+    """
+    step, singular = _newton_step(x, f)
+    trial = x + step
+    f_trial = _residual_array(trial)
+    fn_trial = np.abs(f_trial).max(axis=0)
+    hit = fn_trial < fn
+    np.copyto(x, trial, where=hit)
+    np.copyto(f, f_trial, where=hit)
+    np.copyto(fn, fn_trial, where=hit)
+    todo = np.flatnonzero(~hit)  # columns no damping has improved yet
+    for damping in _DAMPING_BLOCKS:
+        if todo.size == 0:
+            break
+        width = max(_BLOCK // damping.size, 1)
+        todo = np.concatenate([
+            _line_search(x, f, fn, todo[lo:lo + width], step, damping)
+            for lo in range(0, todo.size, width)])
+
+    # a singular column has a zero step, so no damping improves it
+    code = np.where(fn <= tol, CONVERGED, BUDGET)
+    code[todo] = np.where(singular[todo], SINGULAR, STALLED)
+    return code
+
+
+def _line_search(x: np.ndarray, f: np.ndarray, fn: np.ndarray,
+                 todo: np.ndarray, step: np.ndarray,
+                 damping: np.ndarray) -> np.ndarray:
+    """Moves each column in todo by its first damping that lowers fn.
+
+    Updates x, f and fn in place and returns the columns of todo that no
+    damping in the block improved.
+    """
+    trial = x[:, todo, None] + damping * step[:, todo, None]
+    f_trial = _residual_array(trial)
+    fn_trial = np.abs(f_trial).max(axis=0)
+    better = fn_trial < fn[todo, None]
+    hit = better.any(axis=1)
+    first = better[hit].argmax(axis=1)
+    done = todo[hit]
+    x[:, done] = trial[:, hit, first]
+    f[:, done] = f_trial[:, hit, first]
+    fn[done] = fn_trial[hit, first]
+    return todo[~hit]
 
 
 def solution_to_json_dict(params: RhombusParams) -> dict:

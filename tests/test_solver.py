@@ -1,6 +1,7 @@
 """Residuals, Jacobians, Newton iteration, and root enumeration."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -142,6 +143,12 @@ class TestSharedSweep:
         with pytest.raises(ValueError):
             enumerate_solutions(seed_count=10, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_bad_tolerance_is_rejected_before_any_draw(self, tol):
+        # a draw of 10**12 starts up front would be 29 TiB: MemoryError
+        with pytest.raises(ValueError, match="tol"):
+            enumerate_solutions(seed_count=10**12, tol=tol)
+
 
 def _lapack_singular(row):
     """The singular test on the row-equilibrated Jacobian, through LAPACK."""
@@ -238,6 +245,18 @@ def test_nonfinite_start_raises_only_a_solver_error(start):
             newton_solve(RhombusParams(*start))
 
 
+def test_sweep_does_not_depend_on_the_block_size(monkeypatch):
+    starts = np.concatenate([np.random.default_rng(41).uniform(-3.0, 3.0, (2000, 4)),
+                             NONFINITE_STARTS, EXACTLY_SINGULAR])
+    want_x, want_status = _newton_sweep(starts, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    monkeypatch.setattr(solver, "_BLOCK", 8)
+    got_x, got_status = _newton_sweep(starts, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    assert set(want_status.tolist()) == {CONVERGED, SINGULAR, STALLED, BUDGET}
+    assert got_status.tolist() == want_status.tolist()
+    # the bytes tell -0.0 from 0.0 and one NaN from another
+    assert got_x.tobytes() == want_x.tobytes()
+
+
 def _with_examples(starts):
     def add(test):
         for start in starts:
@@ -271,12 +290,13 @@ class TestSeedStream:
         captured = []
 
         def sweep(seeds, tol, max_iter):
+            assert len(seeds) <= solver._CHUNK
             captured.append(seeds)
             return seeds, np.full(len(seeds), BUDGET)
 
         monkeypatch.setattr(solver, "_newton_sweep", sweep)
         assert enumerate_solutions(seed_count=seed_count, rng_seed=rng_seed) == []
-        return captured[0]
+        return np.concatenate(captured)
 
     @pytest.mark.parametrize("rng_seed", [0, 7])
     def test_fewer_seeds_are_a_prefix(self, monkeypatch, rng_seed):
@@ -292,6 +312,28 @@ class TestSeedStream:
         chunks = [rng.uniform(lows, highs, (n, 4)) for n in (120, 180)]
         assert np.array_equal(np.concatenate(chunks),
                               self._starts(monkeypatch, 300, rng_seed))
+
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_small_chunks_concatenate_to_one_draw(self, monkeypatch, rng_seed):
+        lows, highs = np.array(DEFAULT_BOX).T
+        one = np.random.default_rng(rng_seed).uniform(lows, highs, (300, 4))
+        monkeypatch.setattr(solver, "_CHUNK", 128)
+        assert np.array_equal(one, self._starts(monkeypatch, 300, rng_seed))
+
+    def test_a_huge_seed_count_draws_one_chunk_first(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        shapes = []
+
+        def sweep(seeds, tol, max_iter):
+            shapes.append(seeds.shape)
+            raise Stop
+
+        monkeypatch.setattr(solver, "_newton_sweep", sweep)
+        with pytest.raises(Stop):
+            enumerate_solutions(seed_count=10**12)
+        assert shapes == [(solver._CHUNK, 4)]
 
 
 class TestEnumerateSolutions:
@@ -358,6 +400,31 @@ def test_dedupe_keeps_the_greedy_representatives(monkeypatch, seed_count,
     monkeypatch.setattr(solver, "DEFAULT_DEDUPE_TOL", dedupe_tol)
     assert enumerate_solutions(seed_count=seed_count, rng_seed=rng_seed) == \
         _greedy_dedupe_reference(seed_count, rng_seed, dedupe_tol)
+
+
+# the reference draws once and sweeps once, so it also checks the chunked
+# draw and the sliced passes; 37 does not divide the seed counts
+@pytest.mark.parametrize("chunk, block", [(128, 16), (37, 8)])
+@pytest.mark.parametrize("seed_count, rng_seed", [(200, 0), (600, 1), (600, 5)])
+@pytest.mark.parametrize("dedupe_tol", [1e-6, 1.5])
+def test_small_chunks_and_blocks_keep_the_greedy_representatives(
+        monkeypatch, chunk, block, seed_count, rng_seed, dedupe_tol):
+    want = _greedy_dedupe_reference(seed_count, rng_seed, dedupe_tol)
+    monkeypatch.setattr(solver, "DEFAULT_DEDUPE_TOL", dedupe_tol)
+    monkeypatch.setattr(solver, "_CHUNK", chunk)
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    assert enumerate_solutions(seed_count=seed_count, rng_seed=rng_seed) == want
+
+
+def test_enumerate_memory_is_bounded():
+    # three chunks: one up-front draw and sweep of every start holds ~28 MB
+    tracemalloc.start()
+    try:
+        assert len(enumerate_solutions(seed_count=2 * solver._CHUNK + 1)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 class TestCheckReflectionPair:
