@@ -61,7 +61,8 @@ class TestLayout:
         '[{"h": 1.1, "p": 0.9, "q": 0.1}]',
         '[{"h": "x", "k": 1.6, "p": 0.9, "q": 0.1}]',
         '[{"h": "nan", "k": 1.6, "p": 0.9, "q": 0.1}]',
-    ], ids=["object", "no-k", "h-not-a-number", "h-nan"])
+        '[{"h": 1.1, "k": 1.6, "p": 0.9, "q": 0.1, "residual_max": -1.0}]',
+    ], ids=["object", "no-k", "h-not-a-number", "h-nan", "negative-residual"])
     def test_malformed_solutions_file_is_usage_error(self, tmp_path, capsys, text):
         path = tmp_path / "solutions.json"
         path.write_text(text)
@@ -188,6 +189,11 @@ class TestAll:
         code = _run_all(tmp_path, extra=["--gap-threshold", "0.5"])
         assert code == 2
 
+    def test_no_roots_stops_after_solve(self, tmp_path, capsys):
+        assert main(["all", "--seeds", "1", "--out-dir", str(tmp_path)]) == 2
+        assert "stage solve failed" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["solutions.json"]
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -224,6 +230,15 @@ class TestUsageErrors:
         assert code == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_input_that_is_not_json_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "drawing.json"
+        path.write_text("nope{")
+        code = main(["verify", str(path), "--out-dir", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_wrong_artifact_schema(self, pipeline_dir, tmp_path):
         # feeding a solutions file where a drawing is expected
         code = main(["config", str(pipeline_dir / "solutions.json"),
@@ -252,11 +267,13 @@ class TestUsageErrors:
                    '"positions": []}'),
         ("verify", '{"graph": {"n_vertices": 2, "edges": [[0, 1.5]]}, '
                    '"positions": [[0, 0], [1, 0]]}'),
+        ("verify", '{"graph": {"n_vertices": -1, "edges": []}, '
+                   '"positions": []}'),
         ("--configuration", '{"points": [[0, 0]], "centers": [[1, 0]], '
                             '"radius": 1.0, "point_labels": [0.5], '
                             '"circle_labels": [1], "incidences": []}'),
     ], ids=["too-deep", "overflowing-count", "float-vertex-id",
-            "float-point-label"])
+            "negative-count", "float-point-label"])
     def test_adversarial_artifact_is_usage_error(self, tmp_path, capsys,
                                                  command, text):
         path = tmp_path / "artifact.json"
@@ -441,3 +458,16 @@ class TestConfigVerdicts:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "odd cycle" in err
         assert "Traceback" not in err
+
+    def test_configuration_axioms_violated_is_a_verdict(self, tmp_path, capsys):
+        # a faithful unit path: point 1 lies on two circles, point 3 on one
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps({
+            "graph": {"n_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+            "positions": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]}))
+        out = tmp_path / "o"
+        assert main(["verify", str(path), "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["config", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration axioms violated" in err and "Traceback" not in err

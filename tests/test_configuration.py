@@ -7,6 +7,7 @@ import pytest
 from unitdist.configuration import (IncidenceStructure, NotFaithfulError,
                                     build_point_circle, dual,
                                     validate_configuration)
+from unitdist.graph import Bipartition
 from unitdist.layout import Drawing, circular_layout
 
 
@@ -57,6 +58,13 @@ class TestBuild:
     def test_rejects_unknown_class(self, faithful_drawing, gp83_bipartition):
         with pytest.raises(ValueError):
             build_point_circle(faithful_drawing, gp83_bipartition, "c")
+
+    def test_rejects_a_bipartition_that_omits_a_vertex(self, faithful_drawing,
+                                                        gp83_bipartition):
+        partial = Bipartition(gp83_bipartition.class_a - {0},
+                              gp83_bipartition.class_b)
+        with pytest.raises(ValueError, match="partition"):
+            build_point_circle(faithful_drawing, partial, "a")
 
 
 class TestValidate:

@@ -257,6 +257,25 @@ def test_sweep_does_not_depend_on_the_block_size(monkeypatch):
     assert got_x.tobytes() == want_x.tobytes()
 
 
+@pytest.mark.parametrize("block", [solver._BLOCK, 64])
+def test_sweep_evaluates_at_most_a_block_at_a_time(monkeypatch, block):
+    shapes = []
+    residual_array = solver._residual_array
+
+    def recording(x):
+        shapes.append(x.shape)
+        return residual_array(x)
+
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    monkeypatch.setattr(solver, "_residual_array", recording)
+    starts = np.random.default_rng(43).uniform(-3.0, 3.0, (3000, 4))
+    _newton_sweep(starts, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    # the first call takes every start; each later one is a pass slice,
+    # shape (4, columns), or a line-search window, (4, columns, dampings)
+    assert {len(shape) for shape in shapes[1:]} == {2, 3}
+    assert max(math.prod(shape[1:]) for shape in shapes[1:]) <= block
+
+
 def _with_examples(starts):
     def add(test):
         for start in starts:
