@@ -31,13 +31,6 @@ EXIT_USAGE = 1
 EXIT_VERDICT = 2
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _number(convert, zero_ok: bool = False):
     """An argparse type: a finite number > 0, or >= 0 with zero_ok."""
     def parse(text: str):
@@ -51,8 +44,8 @@ def _number(convert, zero_ok: bool = False):
     return parse
 
 
-def _build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="unitdist",
         description="Faithful unit-distance embeddings of GP(8,3) and their "
                     "point-circle configurations.")
@@ -121,8 +114,8 @@ def _build_parser() -> _ArgumentParser:
 
 
 class _InputError(Exception):
-    """Unusable input artifact: missing file, bad JSON, wrong schema, or an
-    extent too large to render."""
+    """Unusable input: no input to render, or an artifact with a missing
+    file, bad JSON, wrong schema, or an extent too large to render."""
 
 
 def _write(path: Path, text: str) -> None:
@@ -301,9 +294,7 @@ def cmd_config(args) -> int:
 
 def cmd_render(args) -> int:
     if not args.drawing and not args.configuration:
-        print("error: nothing to render; pass --drawing and/or --configuration",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _InputError("nothing to render; pass --drawing and/or --configuration")
     names = _names(args.drawing + args.configuration, ".svg")
     _render(args, zip(names, [_read(path, "drawing") for path in args.drawing]
                       + [_read(path, "configuration") for path in args.configuration]))
@@ -336,8 +327,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if "edge_tol" in args and args.gap_threshold <= args.edge_tol:
             parser.error("--gap-threshold must exceed --edge-tol")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 2 on bad flags, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.run(args)
     except (_InputError, OSError) as exc:

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass
 from ._jsonfmt import json_number
 from .graph import Graph, generalized_petersen
 
-_DISTINCT_VERTEX_TOL = 1e-6
 _REFLECTION_TOL = 1e-9
 
 
@@ -91,19 +90,6 @@ def rhombus_layout(params: RhombusParams) -> Drawing:
         (p, -q),            # 15
     )
     return Drawing(generalized_petersen(8, 3), positions)
-
-
-def _is_nondegenerate(params: RhombusParams) -> bool:
-    if not (params.h > 0.0 and params.k > 0.0):
-        return False
-    pts = rhombus_layout(params).positions
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dx = pts[i][0] - pts[j][0]
-            dy = pts[i][1] - pts[j][1]
-            if dx * dx + dy * dy < _DISTINCT_VERTEX_TOL ** 2:
-                return False
-    return True
 
 
 def check_reflection_pair(a: RhombusParams, b: RhombusParams) -> bool:

@@ -29,7 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ._jsonfmt import json_number
-from .layout import RhombusParams, _is_nondegenerate, check_reflection_pair
+from . import layout
+from .layout import RhombusParams, check_reflection_pair
+from .verifier import verify
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
@@ -38,6 +40,7 @@ DEFAULT_DEDUPE_TOL = 1e-6
 DEFAULT_BOX: tuple[tuple[float, float], ...] = ((-3.0, 3.0),) * 4
 
 _SINGULAR_DET = 1e-14
+_MIN_SEPARATION = 1e-6  # between two vertices of a non-degenerate root
 # the line search tries damping 1, 1/2, ..., 2**-20 in order; the sweep
 # tries the full step, which 70% of its column passes take, then all the
 # rest at once: 85% of the columns that miss the full step miss 1/2 ... 1/16
@@ -241,9 +244,9 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     filtered to non-degenerate roots, and returned sorted lexicographically
     by (h, k, p, q).  Memory is O(_CHUNK + converged rows).
 
-    A root is non-degenerate when h > 0, k > 0 and the 16 derived vertex
-    positions are pairwise at least 1e-6 apart.  An empty list just means
-    no seed converged; it is not an error.
+    A root is non-degenerate when h > 0, k > 0 and verify's
+    min_vertex_separation of its rhombus drawing is at least 1e-6.  An
+    empty list just means no seed converged; it is not an error.
     """
     if seed_count < 1:
         raise ValueError("seed_count must be at least 1")
@@ -263,6 +266,14 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     # the lexsort put the representatives in (h, k, p, q) order, which is
     # RhombusParams order, so the filtered list is already sorted
     return list(filter(_is_nondegenerate, representatives))
+
+
+def _is_nondegenerate(params: RhombusParams) -> bool:
+    # layout.rhombus_layout, not an import by name: perfbench's tracer wraps
+    # the layout module's binding and counts these calls as nondegenerate_checks
+    return (params.h > 0.0 and params.k > 0.0
+            and verify(layout.rhombus_layout(params)).min_vertex_separation
+            >= _MIN_SEPARATION)
 
 
 def _converged_rows(seed_count: int, rng_seed: int, tol: float) -> np.ndarray:

@@ -140,6 +140,11 @@ class TestRender:
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert main(["render", "--out-dir", str(tmp_path)]) == 1
 
+    def test_no_inputs_prints_a_usage_error_line(self, tmp_path, capsys):
+        assert main(["render", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "unitdist: error: nothing to render")
+
     def test_inputs_sharing_a_stem_are_usage_error(self, pipeline_dir,
                                                    tmp_path, capsys):
         # a drawing and a configuration that would both write drawing.svg
@@ -209,6 +214,11 @@ class TestUsageErrors:
 
     def test_no_command(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", [["--version"], ["solve", "--help"]])
+    def test_version_and_help_exit_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--seeds", "-3"), ("--rng-seed", "-1"),

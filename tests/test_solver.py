@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import KNOWN_SOLUTION, REFERENCE_6DP, REFLECTED_SOLUTION
 from unitdist import solver
-from unitdist.layout import _is_nondegenerate
+from unitdist.solver import _is_nondegenerate
 from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_BOX, DEFAULT_MAX_ITER,
                              DEFAULT_TOL, SINGULAR, STALLED, NoConvergence,
                              RhombusParams, SingularJacobian, SolverError,
@@ -391,6 +391,16 @@ class TestEnumerateSolutions:
         assert abs(b.k - a.h) < 1e-9
         assert abs(b.p + a.q) < 1e-9
         assert abs(b.q + a.p) < 1e-9
+
+    @pytest.mark.parametrize("h, kept", [(1.9e-6, False), (2.1e-6, True)])
+    def test_filter_keeps_roots_with_vertices_1e_6_apart(self, h, kept):
+        # vertices 1 and 8 are h/2 apart; the drawing also has vertices on
+        # edges and overlapping edges, which the filter must not reject
+        params = RhombusParams(h, 2.0, 0.3, 0.4)
+        report = solver.verify(solver.layout.rhombus_layout(params))
+        assert report.min_vertex_separation_witness == (1, 8)
+        assert report.degeneracies and not report.is_faithful
+        assert _is_nondegenerate(params) is kept
 
 
 def _greedy_dedupe_reference(seed_count, rng_seed, dedupe_tol):
