@@ -21,7 +21,7 @@ from .configuration import (IncidenceStructure, NotFaithfulError,
 from .graph import NotBipartiteError, bipartition
 from .layout import Drawing, RhombusParams, circular_layout, rhombus_layout
 from .render import render_drawing, render_configuration
-from .solver import (DEFAULT_SEED_COUNT, DEFAULT_TOL, enumerate_solutions,
+from .solver import (DEFAULT_SEED_COUNT, enumerate_solutions,
                      solution_from_json_dict, solution_to_json_dict)
 from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD,
                        FaithfulnessReport, verify)
@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solving.add_argument("--rng-seed", type=_number(int, zero_ok=True), default=0,
                          help="seed for the random start generator "
                               "(default: %(default)s)")
-    solving.add_argument("--tol", type=_number(float), default=DEFAULT_TOL,
-                         help="residual max-norm tolerance (default: %(default)s)")
     verifying = argparse.ArgumentParser(add_help=False)
     verifying.add_argument("--edge-tol", type=_number(float),
                            default=DEFAULT_EDGE_TOL,
@@ -71,16 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            default=DEFAULT_GAP_THRESHOLD,
                            help="required non-edge clearance from distance 1 "
                                 "(default: %(default)s)")
-    rotation = argparse.ArgumentParser(add_help=False)
-    rotation.add_argument("--rotation-sign", type=int, choices=(1, -1), default=-1,
-                          help="inner-ring rotation branch of the circular "
-                               "drawing (default: %(default)s)")
 
     p = sub.add_parser("solve", parents=[common, solving],
                        help="enumerate roots of the embedding system")
     p.set_defaults(run=cmd_solve)
 
-    p = sub.add_parser("layout", parents=[common, rotation],
+    p = sub.add_parser("layout", parents=[common],
                        help="build drawings from solved parameters")
     p.set_defaults(run=cmd_layout)
     p.add_argument("--solutions", type=Path, default=None,
@@ -92,12 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("drawings", type=Path, nargs="+", metavar="DRAWING.json")
 
     p = sub.add_parser("config", parents=[common, verifying],
-                       help="derive a point-circle configuration")
+                       help="derive both point-circle configurations")
     p.set_defaults(run=cmd_config)
     p.add_argument("drawing", type=Path, metavar="DRAWING.json")
-    p.add_argument("--centers-class", choices=("a", "b"), default="a",
-                   help="bipartition class used as circle centres "
-                        "(default: %(default)s)")
 
     p = sub.add_parser("render", parents=[common],
                        help="render drawings/configurations to SVG")
@@ -107,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configuration", type=Path, action="append", default=[],
                    metavar="CONFIG.json")
 
-    p = sub.add_parser("all", parents=[common, solving, verifying, rotation],
+    p = sub.add_parser("all", parents=[common, solving, verifying],
                        help="run the whole pipeline")
     p.set_defaults(run=cmd_all)
     return parser
@@ -196,8 +187,7 @@ def _report_table(name: str, report: FaithfulnessReport) -> str:
 # what it built.  The cmd_* functions wrap one stage; cmd_all chains them.
 
 def _solve(args) -> list[RhombusParams]:
-    solutions = enumerate_solutions(seed_count=args.seeds,
-                                    rng_seed=args.rng_seed, tol=args.tol)
+    solutions = enumerate_solutions(seed_count=args.seeds, rng_seed=args.rng_seed)
     _write(args.out_dir / "solutions.json",
            dumps([solution_to_json_dict(s) for s in solutions]))
     print(f"found {len(solutions)} non-degenerate solution(s)")
@@ -209,7 +199,7 @@ def _solve(args) -> list[RhombusParams]:
 def _layout(args, params: RhombusParams) -> dict[str, Drawing]:
     """The rhombus drawing of params and the circular drawing of GP(8,3)."""
     drawings = {"drawing": rhombus_layout(params),
-                "circular": circular_layout(8, 3, args.rotation_sign)}
+                "circular": circular_layout(8, 3)}
     for name, drawing in drawings.items():
         _write(args.out_dir / f"{name}.json", dumps(drawing.to_json_dict()))
     return drawings
@@ -223,15 +213,15 @@ def _verify(args, name: str, drawing: Drawing) -> FaithfulnessReport:
     return report
 
 
-def _config(args, drawing: Drawing, classes) -> dict[str, IncidenceStructure] | None:
-    """A validated configuration per centres class, by name; None on a failure."""
+def _config(args, drawing: Drawing) -> dict[str, IncidenceStructure] | None:
+    """The validated configurations, centres a then b, by name; None on a failure."""
     try:
         bp = bipartition(drawing.graph)
     except NotBipartiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
     structures = {}
-    for cls in classes:
+    for cls in "ab":
         try:
             structure = build_point_circle(drawing, bp, cls,
                                            edge_tol=args.edge_tol,
@@ -289,7 +279,7 @@ def cmd_verify(args) -> int:
 
 def cmd_config(args) -> int:
     drawing = _read(args.drawing, "drawing")
-    return EXIT_OK if _config(args, drawing, args.centers_class) else EXIT_VERDICT
+    return EXIT_OK if _config(args, drawing) else EXIT_VERDICT
 
 
 def cmd_render(args) -> int:
@@ -314,7 +304,7 @@ def cmd_all(args) -> int:
         print("stage verify failed: rhombus drawing is not faithful",
               file=sys.stderr)
         return EXIT_VERDICT
-    structures = _config(args, drawings["drawing"], "ab")
+    structures = _config(args, drawings["drawing"])
     if structures is None:
         return EXIT_VERDICT
     _render(args, structures.items())

@@ -199,8 +199,8 @@ def newton_solve(seed: RhombusParams) -> RhombusParams:
 
 
 def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
-    """_newton_sweep on one start, in Python floats, at DEFAULT_TOL and
-    DEFAULT_MAX_ITER: the same final iterate, bit for bit, and status."""
+    """_newton_sweep on one start, in Python floats: the same final
+    iterate, bit for bit, and status."""
     x = tuple(map(float, start))
     f = _residuals(*x)
     fn = _max_norm(f)
@@ -230,19 +230,20 @@ def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
     return x, CONVERGED if fn <= DEFAULT_TOL else BUDGET
 
 
-def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
-                        tol: float = DEFAULT_TOL) -> list[RhombusParams]:
+def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT,
+                        rng_seed: int = 0) -> list[RhombusParams]:
     """All distinct non-degenerate roots found from seed_count random starts.
 
     The seeds are the draw default_rng(rng_seed).uniform(lows, highs,
     (seed_count, 4)) from DEFAULT_BOX, taken and swept in consecutive
     chunks of _CHUNK rows.  PCG64 draws are sequential, so seed i is the
     same for any seed_count and any chunking, and the result cannot depend
-    on execution order.  The Newton sweeps (residual max-norm <= tol, at
-    most DEFAULT_MAX_ITER steps) run vectorized in lockstep.  Converged
-    iterates are deduplicated (max-norm distance < DEFAULT_DEDUPE_TOL),
-    filtered to non-degenerate roots, and returned sorted lexicographically
-    by (h, k, p, q).  Memory is O(_CHUNK + converged rows).
+    on execution order.  The Newton sweeps (residual max-norm <=
+    DEFAULT_TOL, at most DEFAULT_MAX_ITER steps) run vectorized in
+    lockstep.  Converged iterates are deduplicated (max-norm distance <
+    DEFAULT_DEDUPE_TOL), filtered to non-degenerate roots, and returned
+    sorted lexicographically by (h, k, p, q).  Memory is O(_CHUNK +
+    converged rows).
 
     A root is non-degenerate when h > 0, k > 0 and verify's
     min_vertex_separation of its rhombus drawing is at least 1e-6.  An
@@ -250,9 +251,7 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT, rng_seed: int = 0,
     """
     if seed_count < 1:
         raise ValueError("seed_count must be at least 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    roots = _converged_rows(seed_count, rng_seed, tol)
+    roots = _converged_rows(seed_count, rng_seed)
 
     # the first remaining sorted row represents every row within the
     # tolerance; it is kept as floats, as a view would keep its array alive
@@ -276,7 +275,7 @@ def _is_nondegenerate(params: RhombusParams) -> bool:
             >= _MIN_SEPARATION)
 
 
-def _converged_rows(seed_count: int, rng_seed: int, tol: float) -> np.ndarray:
+def _converged_rows(seed_count: int, rng_seed: int) -> np.ndarray:
     """The converged final iterates of the seeds, in seed order, shape (m, 4).
 
     Each chunk of starts is drawn, swept and dropped before the next, so
@@ -287,7 +286,7 @@ def _converged_rows(seed_count: int, rng_seed: int, tol: float) -> np.ndarray:
     rows = []
     for done in range(0, seed_count, _CHUNK):
         seeds = rng.uniform(lows, highs, (min(_CHUNK, seed_count - done), 4))
-        x, status = _newton_sweep(seeds, tol, DEFAULT_MAX_ITER)
+        x, status = _newton_sweep(seeds)
         rows.append(x[status == CONVERGED])
     return np.concatenate(rows)
 
@@ -295,19 +294,19 @@ def _converged_rows(seed_count: int, rng_seed: int, tol: float) -> np.ndarray:
 # a huge or non-finite start overflows to inf or NaN, which no comparison
 # accepts as progress, so numpy's warnings about it are noise
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton_sweep(seeds: np.ndarray, tol: float,
-                  max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+def _newton_sweep(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on every row of seeds, in lockstep.
 
     Each pass advances all still-active seeds by one closed-form Newton
     step (_newton_step), damped by the first of 1, 1/2, ..., 2**-20 that
     lowers the residual max-norm.  A seed stops as CONVERGED once that norm
-    is <= tol, as SINGULAR when its Jacobian with each row scaled to max-abs
-    1 has |det| < 1e-14, as STALLED when no damping lowers the norm, and as
-    BUDGET when max_iter steps leave it above tol.  The singular test is
-    closed-form too: |det K| <= 2e-14 times the product of K's row maxima,
-    with no LAPACK call.  Only active seeds are kept, as the columns of a
-    (4, m) state; a seed's row of the result is written when it stops.
+    is <= DEFAULT_TOL, as SINGULAR when its Jacobian with each row scaled to
+    max-abs 1 has |det| < 1e-14, as STALLED when no damping lowers the norm,
+    and as BUDGET when DEFAULT_MAX_ITER steps leave it above DEFAULT_TOL.
+    The singular test is closed-form too: |det K| <= 2e-14 times the
+    product of K's row maxima, with no LAPACK call.  Only active seeds are
+    kept, as the columns of a (4, m) state; a seed's row of the result is
+    written when it stops.
     A pass runs on _BLOCK columns at a time (_newton_pass), and the columns
     are independent, so the iterates do not depend on _BLOCK.
     Returns the final iterates, shape (n, 4), and the per-seed statuses.
@@ -315,18 +314,18 @@ def _newton_sweep(seeds: np.ndarray, tol: float,
     x = np.array(seeds, dtype=float)
     f = _residual_array(x.T)
     fnorm = np.abs(f).max(axis=0)
-    status = np.where(fnorm <= tol, CONVERGED, BUDGET)
+    status = np.where(fnorm <= DEFAULT_TOL, CONVERGED, BUDGET)
     live = np.flatnonzero(status == BUDGET)
     # the active seeds: their rows of x, residuals and residual norms
     xs, fs, fn = x[live].T.copy(), f[:, live], fnorm[live]
 
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         if live.size == 0:
             break
         code = np.empty_like(live)
         for lo in range(0, live.size, _BLOCK):
             cols = slice(lo, lo + _BLOCK)
-            code[cols] = _newton_pass(xs[:, cols], fs[:, cols], fn[cols], tol)
+            code[cols] = _newton_pass(xs[:, cols], fs[:, cols], fn[cols])
         stop = code != BUDGET
         if stop.any():
             x[live[stop]] = xs[:, stop].T
@@ -338,16 +337,15 @@ def _newton_sweep(seeds: np.ndarray, tol: float,
     return x, status
 
 
-def _newton_pass(x: np.ndarray, f: np.ndarray, fn: np.ndarray,
-                 tol: float) -> np.ndarray:
+def _newton_pass(x: np.ndarray, f: np.ndarray, fn: np.ndarray) -> np.ndarray:
     """One damped Newton step on the columns of x, in place; their codes.
 
     x and f, shape (4, m), and fn, shape (m,), are the iterates, residuals
     and residual norms.  Each column tries the full step; a column it does
     not improve tries every damping of _BACKTRACK and takes the first one
     that lowers its norm.  Those trials run in windows of at most _BLOCK
-    column x damping trials.  Returns CONVERGED, SINGULAR, STALLED or, for
-    a column still iterating, BUDGET.
+    column x damping trials.  Returns CONVERGED (norm <= DEFAULT_TOL),
+    SINGULAR, STALLED or, for a column still iterating, BUDGET.
     """
     step, singular = _newton_step(x, f)
     trial = x + step
@@ -375,7 +373,7 @@ def _newton_pass(x: np.ndarray, f: np.ndarray, fn: np.ndarray,
         stalled[done] = False
 
     # a singular column has a zero step, so no damping improves it
-    code = np.where(fn <= tol, CONVERGED, BUDGET)
+    code = np.where(fn <= DEFAULT_TOL, CONVERGED, BUDGET)
     code[stalled] = np.where(singular[stalled], SINGULAR, STALLED)
     return code
 

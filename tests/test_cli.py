@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from unitdist import cli
 from unitdist.cli import main
+from unitdist.configuration import ConfigurationCheck
 
 ALL_ARTIFACTS = [
     "solutions.json", "drawing.json", "circular.json",
@@ -112,13 +114,22 @@ class TestVerify:
 
 
 class TestConfig:
-    def test_derives_configuration(self, pipeline_dir, tmp_path):
+    def test_derives_configuration(self, pipeline_dir, tmp_path, capsys):
         code = main(["config", str(pipeline_dir / "drawing.json"),
-                     "--centers-class", "b", "--out-dir", str(tmp_path)])
+                     "--out-dir", str(tmp_path)])
         assert code == 0
-        data = json.loads((tmp_path / "config_centers_b.json").read_text())
-        assert len(data["points"]) == 8
-        assert len(data["incidences"]) == 24
+        out = capsys.readouterr().out
+        for cls in "ab":
+            assert f"centers {cls}: valid (8_3, 8_3) configuration" in out
+            name = f"config_centers_{cls}.json"
+            data = json.loads((tmp_path / name).read_text())
+            assert len(data["points"]) == 8
+            assert len(data["incidences"]) == 24
+            # the same configurations as unitdist all's, byte for byte
+            assert (tmp_path / name).read_bytes() == \
+                (pipeline_dir / name).read_bytes()
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            ["config_centers_a.json", "config_centers_b.json"]
 
     def test_rejects_non_faithful_drawing(self, pipeline_dir, tmp_path):
         code = main(["config", str(pipeline_dir / "circular.json"),
@@ -199,6 +210,16 @@ class TestAll:
         assert "stage solve failed" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["solutions.json"]
 
+    def test_invalid_configuration_stops_before_its_render(self, tmp_path,
+                                                         capsys, monkeypatch):
+        monkeypatch.setattr(cli, "validate_configuration",
+                            lambda s: ConfigurationCheck(None, ("forced",)))
+        assert _run_all(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "configuration axioms violated: forced" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("config_centers_*.svg"))
+
 
 class TestUsageErrors:
     def test_unknown_command(self):
@@ -222,8 +243,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--seeds", "-3"), ("--rng-seed", "-1"),
-        ("--edge-tol", "-1"), ("--tol", "0"), ("--tol", "nan"),
-        ("--edge-tol", "nan"), ("--gap-threshold", "nan"),
+        ("--edge-tol", "-1"), ("--edge-tol", "nan"), ("--gap-threshold", "nan"),
     ])
     def test_out_of_range_number_is_usage_error(self, tmp_path, capsys,
                                                 flag, value):
@@ -231,6 +251,20 @@ class TestUsageErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "usage:" in err and flag in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--tol", "1e-10"], ["all", "--tol", "1e-10"],
+        ["layout", "--rotation-sign", "1"], ["all", "--rotation-sign", "1"],
+        ["config", "drawing.json", "--centers-class", "b"],
+    ])
+    def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv):
+        # the tolerance, rotation branch and centres class are fixed
+        code = main([*argv, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and argv[-2] in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

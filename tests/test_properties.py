@@ -155,6 +155,14 @@ def test_drawing_json_round_trip(drawing):
     assert Drawing.from_json_dict(json.loads(dumps(data))) == drawing
 
 
+def test_dumps_edge_cases():
+    assert dumps({}) == "{}\n"
+    with pytest.raises(TypeError, match="keys must be str, got int"):
+        dumps({1: 0.5})
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps({"points": {1.0}})
+
+
 @PROPERTY
 @given(structure=structures())
 def test_incidence_structure_json_round_trip(structure):
