@@ -23,24 +23,23 @@ from .layout import Drawing, RhombusParams, circular_layout, rhombus_layout
 from .render import render_drawing, render_configuration
 from .solver import (DEFAULT_SEED_COUNT, enumerate_solutions,
                      solution_from_json_dict, solution_to_json_dict)
-from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD,
-                       FaithfulnessReport, verify)
+from .verifier import FaithfulnessReport, verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERDICT = 2
 
 
-def _number(convert, zero_ok: bool = False):
-    """An argparse type: a finite number > 0, or >= 0 with zero_ok."""
-    def parse(text: str):
-        value = convert(text)
-        if not (0 < value < math.inf or (zero_ok and value == 0)):
+def _number(zero_ok: bool = False):
+    """An argparse type: an int > 0, or >= 0 with zero_ok."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not (value > 0 or (zero_ok and value == 0)):
             raise ValueError(text)
         return value
 
     # argparse reports the ValueError as "invalid <__name__> value: <text>"
-    parse.__name__ = f"{'non-negative' if zero_ok else 'positive'} {convert.__name__}"
+    parse.__name__ = f"{'non-negative' if zero_ok else 'positive'} int"
     return parse
 
 
@@ -56,19 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", type=Path, default=Path("out"),
                         help="directory for output artifacts (default: %(default)s)")
     solving = argparse.ArgumentParser(add_help=False)
-    solving.add_argument("--seeds", type=_number(int), default=DEFAULT_SEED_COUNT,
+    solving.add_argument("--seeds", type=_number(), default=DEFAULT_SEED_COUNT,
                          help="number of random starts (default: %(default)s)")
-    solving.add_argument("--rng-seed", type=_number(int, zero_ok=True), default=0,
+    solving.add_argument("--rng-seed", type=_number(zero_ok=True), default=0,
                          help="seed for the random start generator "
                               "(default: %(default)s)")
-    verifying = argparse.ArgumentParser(add_help=False)
-    verifying.add_argument("--edge-tol", type=_number(float),
-                           default=DEFAULT_EDGE_TOL,
-                           help="edge length tolerance (default: %(default)s)")
-    verifying.add_argument("--gap-threshold", type=_number(float),
-                           default=DEFAULT_GAP_THRESHOLD,
-                           help="required non-edge clearance from distance 1 "
-                                "(default: %(default)s)")
 
     p = sub.add_parser("solve", parents=[common, solving],
                        help="enumerate roots of the embedding system")
@@ -80,12 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solutions", type=Path, default=None,
                    help="solutions JSON (default: <out-dir>/solutions.json)")
 
-    p = sub.add_parser("verify", parents=[common, verifying],
+    p = sub.add_parser("verify", parents=[common],
                        help="certify drawings or configurations from JSON files")
     p.set_defaults(run=cmd_verify)
     p.add_argument("drawings", type=Path, nargs="+", metavar="DRAWING.json")
 
-    p = sub.add_parser("config", parents=[common, verifying],
+    p = sub.add_parser("config", parents=[common],
                        help="derive both point-circle configurations")
     p.set_defaults(run=cmd_config)
     p.add_argument("drawing", type=Path, metavar="DRAWING.json")
@@ -98,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configuration", type=Path, action="append", default=[],
                    metavar="CONFIG.json")
 
-    p = sub.add_parser("all", parents=[common, solving, verifying],
+    p = sub.add_parser("all", parents=[common, solving],
                        help="run the whole pipeline")
     p.set_defaults(run=cmd_all)
     return parser
@@ -206,8 +197,7 @@ def _layout(args, params: RhombusParams) -> dict[str, Drawing]:
 
 
 def _verify(args, name: str, drawing: Drawing) -> FaithfulnessReport:
-    report = verify(drawing, edge_tol=args.edge_tol,
-                    gap_threshold=args.gap_threshold)
+    report = verify(drawing)
     _write(args.out_dir / f"{name}_report.json", dumps(report.to_json_dict()))
     print(_report_table(name, report))
     return report
@@ -223,9 +213,7 @@ def _config(args, drawing: Drawing) -> dict[str, IncidenceStructure] | None:
     structures = {}
     for cls in "ab":
         try:
-            structure = build_point_circle(drawing, bp, cls,
-                                           edge_tol=args.edge_tol,
-                                           gap_threshold=args.gap_threshold)
+            structure = build_point_circle(drawing, bp, cls)
         except NotFaithfulError as exc:
             print(f"error: centers {cls}: {exc}", file=sys.stderr)
             return None
@@ -315,8 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if "edge_tol" in args and args.gap_threshold <= args.edge_tol:
-            parser.error("--gap-threshold must exceed --edge-tol")
     except SystemExit as exc:  # argparse exits 2 on bad flags, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -16,7 +16,7 @@ from itertools import combinations
 from ._jsonfmt import json_index, json_number
 from .graph import Bipartition, Graph
 from .layout import Drawing
-from .verifier import (DEFAULT_EDGE_TOL, DEFAULT_GAP_THRESHOLD, verify)
+from .verifier import verify
 
 
 class NotFaithfulError(ValueError):
@@ -78,9 +78,7 @@ class IncidenceStructure:
                    data["point_labels"], data["circle_labels"])
 
 
-def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
-                       edge_tol: float = DEFAULT_EDGE_TOL,
-                       gap_threshold: float = DEFAULT_GAP_THRESHOLD
+def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a"
                        ) -> IncidenceStructure:
     """Derive the isometric point-circle structure from a faithful drawing.
 
@@ -88,13 +86,13 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a",
     unit-circle centres; the other class supplies the points.  The drawing
     must verify as faithful (NotFaithfulError otherwise).  The incidences
     are the cross-class edges: in a drawing that verifies, every edge is
-    within edge_tol of length 1 and every non-edge at least gap_threshold
-    > edge_tol away, so they are exactly the pairs at distance 1 within
-    edge_tol.
+    within DEFAULT_EDGE_TOL of length 1 and every non-edge at least
+    DEFAULT_GAP_THRESHOLD > DEFAULT_EDGE_TOL away, so they are exactly the
+    pairs at distance 1 within DEFAULT_EDGE_TOL.
     """
     if centers_class not in ("a", "b"):
         raise ValueError("centers_class must be 'a' or 'b'")
-    report = verify(d, edge_tol=edge_tol, gap_threshold=gap_threshold)
+    report = verify(d)
     if not report.is_faithful:
         raise NotFaithfulError(
             "drawing is not faithful: max edge residual "

@@ -1,8 +1,9 @@
 """Certification of unit-distance and faithfulness properties of drawings.
 
-A drawing is unit-distance when every edge has length 1 (within edge_tol)
-and faithful when additionally every non-adjacent pair stays clear of
-distance 1 (by at least gap_threshold) and no geometric degeneracies occur:
+A drawing is unit-distance when every edge has length 1 (within
+DEFAULT_EDGE_TOL) and faithful when additionally every non-adjacent pair
+stays clear of distance 1 (by at least DEFAULT_GAP_THRESHOLD) and no
+geometric degeneracies occur:
 coincident vertices, a vertex inside the interior of a non-incident edge
 segment, or collinear edges with positive overlap.
 
@@ -118,8 +119,7 @@ def _near_line(pt: Point, a: Point, b: Point) -> bool:
     return abs(cross) / math.hypot(ux, uy) < DEFAULT_DEGENERACY_TOL
 
 
-def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
-           gap_threshold: float = DEFAULT_GAP_THRESHOLD) -> FaithfulnessReport:
+def verify(d: Drawing) -> FaithfulnessReport:
     """Exhaustive faithfulness certificate for a drawing.
 
     Scans all vertex pairs for edge residuals, non-edge gaps and coincident
@@ -131,10 +131,6 @@ def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
     the decision by a margin; every edge and every kept candidate then goes,
     in scan order, through math.dist or the two predicates above.
     """
-    if not edge_tol > 0:
-        raise ValueError("edge_tol must be positive")
-    if not gap_threshold > edge_tol:
-        raise ValueError("gap_threshold must exceed edge_tol")
     tol = DEFAULT_DEGENERACY_TOL
     pos = d.positions
     n = d.graph.n_vertices
@@ -220,8 +216,8 @@ def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
                         Degeneracy(COLLINEAR_OVERLAPPING_EDGES, e1 + e2))
 
     n_edges = len(d.graph.edges)
-    is_unit = max_edge_residual <= edge_tol
-    faithful = is_unit and min_gap >= gap_threshold and not degeneracies
+    is_unit = max_edge_residual <= DEFAULT_EDGE_TOL
+    faithful = is_unit and min_gap >= DEFAULT_GAP_THRESHOLD and not degeneracies
     return FaithfulnessReport(
         is_unit_distance=is_unit,
         is_faithful=faithful,
@@ -232,8 +228,8 @@ def verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
         min_vertex_separation=min_sep,
         min_vertex_separation_witness=sep_witness,
         degeneracies=tuple(degeneracies),
-        edge_tol=edge_tol,
-        gap_threshold=gap_threshold,
+        edge_tol=DEFAULT_EDGE_TOL,
+        gap_threshold=DEFAULT_GAP_THRESHOLD,
         n_edges=n_edges,
         n_nonadjacent_pairs=n * (n - 1) // 2 - n_edges,
     )

@@ -7,6 +7,7 @@ import pytest
 from unitdist import cli
 from unitdist.cli import main
 from unitdist.configuration import ConfigurationCheck
+from unitdist.layout import RhombusParams
 
 ALL_ARTIFACTS = [
     "solutions.json", "drawing.json", "circular.json",
@@ -17,9 +18,9 @@ ALL_ARTIFACTS = [
 ]
 
 
-def _run_all(out_dir, extra=()):
+def _run_all(out_dir):
     return main(["all", "--seeds", "600", "--rng-seed", "1",
-                 "--out-dir", str(out_dir), *extra])
+                 "--out-dir", str(out_dir)])
 
 
 @pytest.fixture(scope="module")
@@ -201,9 +202,18 @@ class TestAll:
             assert (tmp_path / name).read_bytes() == \
                 (pipeline_dir / name).read_bytes(), name
 
-    def test_excessive_gap_threshold_fails(self, tmp_path):
-        code = _run_all(tmp_path, extra=["--gap-threshold", "0.5"])
-        assert code == 2
+    def test_unfaithful_drawing_stops_before_config(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # parameters that are not a root: the drawing is not unit-distance
+        monkeypatch.setattr(cli, "enumerate_solutions",
+                            lambda **kw: [RhombusParams(1.2, 1.6, 0.85, 0.13)])
+        assert _run_all(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "stage verify failed: rhombus drawing is not faithful" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "drawing.svg").exists()
+        assert (tmp_path / "circular.svg").exists()
+        assert not list(tmp_path.glob("config_centers_*"))
 
     def test_no_roots_stops_after_solve(self, tmp_path, capsys):
         assert main(["all", "--seeds", "1", "--out-dir", str(tmp_path)]) == 2
@@ -228,11 +238,6 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         assert main(["solve", "--bogus"]) == 1
 
-    def test_gap_threshold_must_exceed_edge_tol(self, tmp_path):
-        code = main(["all", "--edge-tol", "1e-3", "--gap-threshold", "1e-4",
-                     "--out-dir", str(tmp_path)])
-        assert code == 1
-
     def test_no_command(self):
         assert main([]) == 1
 
@@ -243,7 +248,6 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--seeds", "0"), ("--seeds", "-3"), ("--rng-seed", "-1"),
-        ("--edge-tol", "-1"), ("--edge-tol", "nan"), ("--gap-threshold", "nan"),
     ])
     def test_out_of_range_number_is_usage_error(self, tmp_path, capsys,
                                                 flag, value):
@@ -258,9 +262,12 @@ class TestUsageErrors:
         ["solve", "--tol", "1e-10"], ["all", "--tol", "1e-10"],
         ["layout", "--rotation-sign", "1"], ["all", "--rotation-sign", "1"],
         ["config", "drawing.json", "--centers-class", "b"],
+        ["verify", "x.json", "--edge-tol", "1e-6"],
+        ["config", "x.json", "--gap-threshold", "0.5"],
+        ["all", "--edge-tol", "1e-6"], ["all", "--gap-threshold", "0.5"],
     ])
     def test_removed_flag_is_usage_error(self, tmp_path, capsys, argv):
-        # the tolerance, rotation branch and centres class are fixed
+        # the tolerances, rotation branch and centres class are fixed
         code = main([*argv, "--out-dir", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
@@ -474,21 +481,14 @@ class TestConfigVerdicts:
         # witnesses are label ranks; unitdist config's labels are 0..15
         assert data["point_labels"][0] in report["max_edge_residual_witness"]
 
-    def test_incidence_tolerance_follows_edge_tol(self, pipeline_dir, tmp_path):
+    def test_edges_2e_7_too_long_are_not_faithful(self, pipeline_dir, tmp_path):
         data = json.loads((pipeline_dir / "drawing.json").read_text())
-        # every distance grows by 2e-7: faithful at edge tolerance 1e-6 only
+        # every distance grows by 2e-7: past the fixed edge tolerance 1e-9
         data["positions"] = [[x * (1 + 2e-7), y * (1 + 2e-7)]
                              for x, y in data["positions"]]
         path = tmp_path / "drawing.json"
         path.write_text(json.dumps(data))
-        out = tmp_path / "o"
-        assert main(["config", str(path), "--out-dir", str(out)]) == 2
-        assert main(["config", str(path), "--edge-tol", "1e-6",
-                     "--out-dir", str(out)]) == 0
-        config = json.loads((out / "config_centers_a.json").read_text())
-        # GP(8,3) is bipartite: its 24 edges are the incidences
-        assert sorted(sorted(pair) for pair in config["incidences"]) == \
-            data["graph"]["edges"]
+        assert main(["config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
 
     def test_non_bipartite_drawing_is_a_verdict(self, tmp_path, capsys):
         path = tmp_path / "triangle.json"

@@ -182,14 +182,11 @@ class TestStructureValues:
             IncidenceStructure(((0.0, 0.0),), (self.CENTER,), ((0, label),),
                                (0,), (label,))
 
-    def test_incidence_tolerance_defaults_to_edge_tol(self, faithful_drawing,
-                                                      gp83_bipartition):
-        # every distance 2e-7 too long: faithful at edge_tol 1e-6, not 1e-9
+    def test_edges_2e_7_too_long_are_not_faithful(self, faithful_drawing,
+                                                  gp83_bipartition):
+        # every distance 2e-7 too long: past the fixed edge tolerance 1e-9
         scaled = Drawing(faithful_drawing.graph,
                          tuple((x * (1 + 2e-7), y * (1 + 2e-7))
                                for x, y in faithful_drawing.positions))
         with pytest.raises(NotFaithfulError):
             build_point_circle(scaled, gp83_bipartition, "a")
-        structure = build_point_circle(scaled, gp83_bipartition, "a",
-                                       edge_tol=1e-6)
-        assert len(structure.incidence) == 24

@@ -1,6 +1,8 @@
 """The package's shape: module-level imports only, no import cycle, and only
-the settings that cli.py or a benchmark workload sets: the benchmark's GP(n,s)
-family sets circular_layout's rotation_sign, which cli.py leaves at -1."""
+the five settings that cli.py or a benchmark workload sets: main's argv,
+build_point_circle's centres class, enumerate_solutions' seed count and RNG
+seed, and circular_layout's rotation_sign, which the benchmark's GP(n,s)
+family sets and cli.py leaves at -1.  The verifier's tolerances are fixed."""
 
 import ast
 from pathlib import Path
@@ -77,11 +79,7 @@ def test_settable_values_are_the_ones_the_command_line_sets():
     assert settable == {
         "cli.main(argv)",
         "configuration.build_point_circle(centers_class)",
-        "configuration.build_point_circle(edge_tol)",
-        "configuration.build_point_circle(gap_threshold)",
         "layout.circular_layout(rotation_sign)",
         "solver.enumerate_solutions(seed_count)",
         "solver.enumerate_solutions(rng_seed)",
-        "verifier.verify(edge_tol)",
-        "verifier.verify(gap_threshold)",
     }

@@ -283,9 +283,7 @@ def test_report_json_round_trip(drawing):
     assert json.loads(dumps(report.to_json_dict())) == _json_value(fields)
 
 
-def _scalar_verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
-                   gap_threshold: float = DEFAULT_GAP_THRESHOLD
-                   ) -> FaithfulnessReport:
+def _scalar_verify(d: Drawing) -> FaithfulnessReport:
     """verify as plain loops over every pair, vertex/edge and edge pair,
     with no screen: the oracle for verify."""
     pos = d.positions
@@ -329,8 +327,8 @@ def _scalar_verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
                 Degeneracy(COLLINEAR_OVERLAPPING_EDGES, e1 + e2))
 
     n_edges = len(d.graph.edges)
-    is_unit = max_edge_residual <= edge_tol
-    faithful = is_unit and min_gap >= gap_threshold and not degeneracies
+    is_unit = max_edge_residual <= DEFAULT_EDGE_TOL
+    faithful = is_unit and min_gap >= DEFAULT_GAP_THRESHOLD and not degeneracies
     return FaithfulnessReport(
         is_unit_distance=is_unit,
         is_faithful=faithful,
@@ -341,8 +339,8 @@ def _scalar_verify(d: Drawing, edge_tol: float = DEFAULT_EDGE_TOL,
         min_vertex_separation=min_sep,
         min_vertex_separation_witness=sep_witness,
         degeneracies=tuple(degeneracies),
-        edge_tol=edge_tol,
-        gap_threshold=gap_threshold,
+        edge_tol=DEFAULT_EDGE_TOL,
+        gap_threshold=DEFAULT_GAP_THRESHOLD,
         n_edges=n_edges,
         n_nonadjacent_pairs=n * (n - 1) // 2 - n_edges,
     )

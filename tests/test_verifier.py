@@ -183,22 +183,6 @@ class TestPredicates:
             segments_overlap((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
 
 
-class TestArguments:
-    def test_tolerance_ordering_enforced(self, faithful_drawing):
-        with pytest.raises(ValueError):
-            verify(faithful_drawing, edge_tol=1e-2, gap_threshold=1e-3)
-        with pytest.raises(ValueError):
-            verify(faithful_drawing, edge_tol=0.0)
-
-    def test_nan_edge_tol_rejected(self, faithful_drawing):
-        with pytest.raises(ValueError, match="edge_tol"):
-            verify(faithful_drawing, edge_tol=math.nan)
-
-    def test_nan_gap_threshold_rejected(self, faithful_drawing):
-        with pytest.raises(ValueError, match="gap_threshold"):
-            verify(faithful_drawing, gap_threshold=math.nan)
-
-
 def test_screen_memory_is_bounded():
     # 2,000 random points on a path: the vertex/edge and edge/edge scans have
     # about 4e6 candidates each, so whole-matrix screens would hold ~100 MB
