@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from operator import itemgetter
 
 from ._jsonfmt import json_index
@@ -168,6 +168,17 @@ def automorphism_count(g: Graph) -> int:
     orbit passes the candidate filter, and is either reached by closure or
     found by a search.
 
+    A component root (anchor None) has no mapped neighbour to narrow its
+    candidates, and in a regular graph such as GP(n, s) the degree passes
+    every vertex.  So at a root level a candidate is searched only if its
+    profile, the sorted (distance, number of shortest paths) pairs from
+    it, equals order[i]'s.  Automorphisms map shortest paths onto
+    shortest paths, so a different profile proves w is outside the orbit.
+    It rejects the inner vertices of GP(18, 5), which share the outer
+    ones' degree and sorted distances, without a search.  A profile costs
+    one more BFS, O(E), run only for order[i] and for a candidate that
+    would otherwise be searched, and kept for the rest of the call.
+
     Costs an O(V^2) distance table, filled by one BFS per vertex in
     O(V * E), and about (generators + refuted candidates) * V^2 for the
     searches, where enumerating the group would cost |Aut| * V^2.  There
@@ -245,6 +256,8 @@ def automorphism_count(g: Graph) -> int:
                 return perm
         return None
 
+    profile = cache(partial(_path_profile, adj))    # built on first use only
+
     count = 1
     generators: list[list[int]] = []
     for i in range(n - 1, -1, -1):
@@ -253,7 +266,9 @@ def automorphism_count(g: Graph) -> int:
         used[v] = False
         orbit = {v}                 # every generator so far fixes v
         for w in candidates(i):
-            if w not in orbit and (perm := extension(i, w)) is not None:
+            if w in orbit or anchor[i] is None and profile(w) != profile(v):
+                continue
+            if (perm := extension(i, w)) is not None:
                 generators.append(perm)
                 orbit = _orbit(v, generators)
         count *= len(orbit)
@@ -271,6 +286,30 @@ def _orbit(v: int, generators: list[list[int]]) -> set[int]:
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def _path_profile(adj: tuple[tuple[int, ...], ...], source: int) -> list[tuple[int, int]]:
+    """Sorted (distance, number of shortest paths from source) over all
+    vertices, (-1, 0) where unreachable: an automorphism maps shortest
+    paths onto shortest paths, so vertices of one orbit share their
+    profile."""
+    dist = [-1] * len(adj)
+    paths = [0] * len(adj)
+    dist[source] = 0
+    paths[source] = 1
+    reached = [source]
+    for u in reached:               # u's paths are complete: BFS dequeues by level
+        d = dist[u] + 1
+        p = paths[u]
+        for w in adj[u]:
+            dw = dist[w]
+            if dw < 0:
+                dist[w] = d
+                paths[w] = p
+                reached.append(w)
+            elif dw == d:
+                paths[w] += p
+    return sorted(zip(dist, paths))
 
 
 def _bfs(adj: tuple[tuple[int, ...], ...], source: int) -> tuple[list[int], list[int]]:

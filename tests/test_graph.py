@@ -7,8 +7,9 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitdist.graph import (Graph, NotBipartiteError, automorphism_count,
-                            bipartition, generalized_petersen)
+from unitdist.graph import (Graph, NotBipartiteError, _path_profile,
+                            automorphism_count, bipartition,
+                            generalized_petersen)
 
 
 # |Aut GP(n, s)| after Frucht, Graver and Watkins (1971): 4n when
@@ -29,6 +30,13 @@ FGW_ORDERS = {
     (32, 1): 128,
     (64, 1): 256,
 }
+FGW_EXCEPTIONS = {(4, 1), (5, 2), (8, 3), (10, 2), (10, 3), (12, 5), (24, 5)}
+
+
+def _fgw_order(n, s):
+    if (n, s) in FGW_EXCEPTIONS:
+        return FGW_ORDERS[(n, s)]
+    return 4 * n if s * s % n in (1, n - 1) else 2 * n
 
 
 # examples are derandomized, so every run checks the same cases
@@ -40,13 +48,19 @@ def _is_automorphism(g, perm):
     return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
 
 
-def _vf2_automorphisms(g):
-    """Independent oracle: networkx VF2 enumerates every automorphism."""
+def _vf2_isomorphisms(g):
+    """Independent oracle: networkx VF2 enumerates every automorphism, as
+    a dict vertex -> image."""
     nx_graph = nx.Graph()
     nx_graph.add_nodes_from(range(g.n_vertices))    # isolated vertices too
     nx_graph.add_edges_from(g.edges)
     matcher = nx.algorithms.isomorphism.GraphMatcher(nx_graph, nx_graph)
-    return sum(1 for _ in matcher.isomorphisms_iter())
+    return matcher.isomorphisms_iter()
+
+
+def _vf2_automorphisms(g):
+    return sum(1 for _ in _vf2_isomorphisms(g))
+
 
 
 @st.composite
@@ -214,6 +228,15 @@ class TestAutomorphismCount:
     def test_frucht_graver_watkins_order(self, n, s):
         assert automorphism_count(generalized_petersen(n, s)) == FGW_ORDERS[(n, s)]
 
+    def test_every_petersen_graph_up_to_30_has_the_fgw_order(self):
+        # each GP(n, s) here that is not vertex-transitive has two profile
+        # classes, outer and inner, so the root-level profile test rejects
+        # the inner candidates of vertex 0
+        for n in range(3, 31):
+            for s in range(1, (n + 1) // 2):
+                assert (automorphism_count(generalized_petersen(n, s))
+                        == _fgw_order(n, s)), (n, s)
+
     def test_long_path_needs_no_recursion(self):
         # deeper than the default recursion limit of 1000
         g = Graph(1200, tuple((i, i + 1) for i in range(1199)))
@@ -264,3 +287,37 @@ class TestAutomorphismCount:
         perm.update({8 + j: 8 + (j + 4) % 8 for j in range(8)})
         assert all(perm[v] != v for v in range(16))
         assert _is_automorphism(gp83, perm)
+
+
+def _profile_classes(g):
+    classes = {}
+    for v in range(g.n_vertices):
+        classes.setdefault(tuple(_path_profile(g.adjacency, v)), set()).add(v)
+    return sorted(classes.values(), key=min)
+
+
+class TestPathProfile:
+    @PROPERTY
+    @given(g=small_graphs())
+    def test_every_automorphism_keeps_the_profile(self, g):
+        profiles = [_path_profile(g.adjacency, v) for v in range(g.n_vertices)]
+        for sigma in _vf2_isomorphisms(g):
+            for v in range(g.n_vertices):
+                assert profiles[sigma[v]] == profiles[v], (sigma, v)
+
+    def test_gp18_5_outer_and_inner_vertices_differ(self):
+        # equal degree and equal sorted distances, unequal path counts
+        assert _profile_classes(generalized_petersen(18, 5)) == [
+            set(range(18)), set(range(18, 36))]
+
+    @pytest.mark.parametrize("n,s", [(24, 5), (26, 5)])
+    def test_vertex_transitive_graph_has_one_class(self, n, s):
+        assert _profile_classes(generalized_petersen(n, s)) == [set(range(2 * n))]
+
+    def test_path_counts(self):
+        # the 4-cycle and an isolated vertex: from 0, vertex 2 is reached by
+        # two shortest paths, and vertex 4 not at all
+        g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 0)))
+        assert _path_profile(g.adjacency, 0) == [(-1, 0), (0, 1), (1, 1),
+                                                 (1, 1), (2, 2)]
+        assert _path_profile(g.adjacency, 4) == [(-1, 0)] * 4 + [(0, 1)]
