@@ -8,9 +8,8 @@ outer octagon on 0..7 and the inner star on 8..15.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from operator import itemgetter
 
 from ._jsonfmt import json_index
@@ -105,44 +104,42 @@ def generalized_petersen(n: int, s: int) -> Graph:
 def bipartition(g: Graph) -> Bipartition:
     """Two-color g by BFS; raises NotBipartiteError with an odd-cycle witness.
 
-    Deterministic: traversal starts from the smallest unvisited vertex and
-    that vertex lands in class_a, so vertex 0 is always in class_a.
+    Deterministic: each vertex is colored by the parity of its distance
+    from the smallest vertex of its component, even in class_a, so that
+    vertex lands in class_a and vertex 0 always does.  The first edge, in
+    BFS order, whose ends are equally far from that vertex closes the
+    witness.  Costs one BFS, with its own [-1] * V distance row, per
+    component: O(V * components + E), which stays below the O(V^2) of
+    the `verify` run on every drawing that `unitdist config` accepts.
     """
-    color: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
+    adj = g.adjacency
+    class_a: set[int] = set()
+    class_b: set[int] = set()
     for root in range(g.n_vertices):
-        if root in color:
+        if root in class_a or root in class_b:
             continue
-        color[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    raise NotBipartiteError(_odd_cycle(parent, u, w))
-    class_a = frozenset(v for v, c in color.items() if c == 0)
-    class_b = frozenset(v for v, c in color.items() if c == 1)
-    return Bipartition(class_a, class_b)
+        dist, reached = _bfs(adj, root)
+        for u in reached:
+            for w in adj[u]:
+                if dist[w] == dist[u]:
+                    raise NotBipartiteError(_odd_cycle(adj, reached, u, w))
+            (class_b if dist[u] % 2 else class_a).add(u)
+    return Bipartition(frozenset(class_a), frozenset(class_b))
 
 
-def _odd_cycle(parent: dict[int, int | None], u: int, w: int) -> tuple[int, ...]:
-    # BFS-tree paths from u and w up to their lowest common ancestor,
-    # closed by the offending edge (u, w).  Same-color endpoints have equal
-    # depth parity, so the cycle length is odd.
-    chain_u = [u]
-    while parent[chain_u[-1]] is not None:
-        chain_u.append(parent[chain_u[-1]])
-    index_in_u = {v: i for i, v in enumerate(chain_u)}
-    chain_w = [w]
-    while chain_w[-1] not in index_in_u:
-        chain_w.append(parent[chain_w[-1]])
-    lca_pos = index_in_u[chain_w[-1]]
-    return tuple(reversed(chain_u[:lca_pos + 1])) + tuple(chain_w[:-1])
+def _odd_cycle(adj: tuple[tuple[int, ...], ...], reached: list[int],
+               u: int, w: int) -> tuple[int, ...]:
+    # u and w are equally far from the BFS root, so their BFS-tree paths
+    # upward, walked in lockstep, meet at their lowest common ancestor;
+    # closed by the edge (u, w) they form a cycle of odd length.  A
+    # vertex's BFS parent is its neighbour visited first, as for
+    # automorphism_count's anchor.
+    pos = {v: i for i, v in enumerate(reached)}
+    path_u, path_w = [u], [w]
+    while path_u[-1] != path_w[-1]:
+        path_u.append(min(adj[path_u[-1]], key=pos.__getitem__))
+        path_w.append(min(adj[path_w[-1]], key=pos.__getitem__))
+    return tuple(reversed(path_u)) + tuple(path_w[:-1])
 
 
 def automorphism_count(g: Graph) -> int:
@@ -175,9 +172,10 @@ def automorphism_count(g: Graph) -> int:
     it, equals order[i]'s.  Automorphisms map shortest paths onto
     shortest paths, so a different profile proves w is outside the orbit.
     It rejects the inner vertices of GP(18, 5), which share the outer
-    ones' degree and sorted distances, without a search.  A profile costs
-    one more BFS, O(E), run only for order[i] and for a candidate that
-    would otherwise be searched, and kept for the rest of the call.
+    ones' degree and sorted distances, without a search.  A profile is
+    counted over the vertex's row of the distance table in
+    O(V log V + E), only for order[i] and for a candidate that would
+    otherwise be searched, and kept for the rest of the call.
 
     Costs an O(V^2) distance table, filled by one BFS per vertex in
     O(V * E), and about (generators + refuted candidates) * V^2 for the
@@ -256,7 +254,7 @@ def automorphism_count(g: Graph) -> int:
                 return perm
         return None
 
-    profile = cache(partial(_path_profile, adj))    # built on first use only
+    profile = cache(lambda v: _path_profile(adj, dist[v]))  # built on first use only
 
     count = 1
     generators: list[list[int]] = []
@@ -288,27 +286,17 @@ def _orbit(v: int, generators: list[list[int]]) -> set[int]:
     return seen
 
 
-def _path_profile(adj: tuple[tuple[int, ...], ...], source: int) -> list[tuple[int, int]]:
-    """Sorted (distance, number of shortest paths from source) over all
-    vertices, (-1, 0) where unreachable: an automorphism maps shortest
-    paths onto shortest paths, so vertices of one orbit share their
-    profile."""
-    dist = [-1] * len(adj)
-    paths = [0] * len(adj)
-    dist[source] = 0
-    paths[source] = 1
-    reached = [source]
-    for u in reached:               # u's paths are complete: BFS dequeues by level
-        d = dist[u] + 1
-        p = paths[u]
+def _path_profile(adj: tuple[tuple[int, ...], ...], dist: list[int]) -> list[tuple[int, int]]:
+    """Sorted (distance, number of shortest paths from the source) over
+    all vertices, (-1, 0) where unreachable, given the source's distance
+    row: an automorphism maps shortest paths onto shortest paths, so
+    vertices of one orbit share their profile."""
+    paths = [int(d == 0) for d in dist]
+    # nearer vertices first, so u's count is final when it is passed on
+    for u in sorted(range(len(dist)), key=dist.__getitem__):
         for w in adj[u]:
-            dw = dist[w]
-            if dw < 0:
-                dist[w] = d
-                paths[w] = p
-                reached.append(w)
-            elif dw == d:
-                paths[w] += p
+            if dist[w] == dist[u] + 1:
+                paths[w] += paths[u]
     return sorted(zip(dist, paths))
 
 

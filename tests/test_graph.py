@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitdist.graph import (Graph, NotBipartiteError, _path_profile,
+from unitdist.graph import (Graph, NotBipartiteError, _bfs, _path_profile,
                             automorphism_count, bipartition,
                             generalized_petersen)
 
@@ -48,12 +48,17 @@ def _is_automorphism(g, perm):
     return all(g.has_edge(perm[u], perm[v]) for u, v in g.edges)
 
 
-def _vf2_isomorphisms(g):
-    """Independent oracle: networkx VF2 enumerates every automorphism, as
-    a dict vertex -> image."""
+def _to_networkx(g):
     nx_graph = nx.Graph()
     nx_graph.add_nodes_from(range(g.n_vertices))    # isolated vertices too
     nx_graph.add_edges_from(g.edges)
+    return nx_graph
+
+
+def _vf2_isomorphisms(g):
+    """Independent oracle: networkx VF2 enumerates every automorphism, as
+    a dict vertex -> image."""
+    nx_graph = _to_networkx(g)
     matcher = nx.algorithms.isomorphism.GraphMatcher(nx_graph, nx_graph)
     return matcher.isomorphisms_iter()
 
@@ -193,6 +198,40 @@ class TestBipartition:
         for i, v in enumerate(cycle):
             assert g.has_edge(v, cycle[(i + 1) % len(cycle)])
 
+    # the witnesses `unitdist config` prints, pinned
+    @pytest.mark.parametrize("g,witness", [
+        (Graph(3, ((0, 1), (1, 2), (0, 2))), (0, 1, 2)),
+        (generalized_petersen(5, 2), (0, 1, 2, 3, 4)),
+        (generalized_petersen(8, 2), (0, 1, 2, 10, 8)),
+        (generalized_petersen(7, 3), (0, 1, 8, 11, 7)),
+        (Graph(5, ((0, 1), (2, 3), (3, 4), (2, 4))), (2, 3, 4)),
+    ], ids=["triangle", "gp5_2", "gp8_2", "gp7_3", "second_component"])
+    def test_exact_witness(self, g, witness):
+        with pytest.raises(NotBipartiteError) as excinfo:
+            bipartition(g)
+        assert excinfo.value.odd_cycle == witness
+        assert str(excinfo.value) == (
+            f"graph is not bipartite; odd cycle: {list(witness)}")
+
+    @PROPERTY
+    @given(g=small_graphs())
+    def test_small_graphs_against_networkx(self, g):
+        nx_graph = _to_networkx(g)
+        if not nx.is_bipartite(nx_graph):
+            with pytest.raises(NotBipartiteError) as excinfo:
+                bipartition(g)
+            cycle = excinfo.value.odd_cycle
+            assert len(cycle) % 2 == 1
+            assert len(set(cycle)) == len(cycle)
+            assert all(g.has_edge(v, cycle[i - 1]) for i, v in enumerate(cycle))
+            return
+        bp = bipartition(g)
+        assert bp.class_a | bp.class_b == frozenset(range(g.n_vertices))
+        assert not bp.class_a & bp.class_b
+        assert all((u in bp.class_a) != (v in bp.class_a) for u, v in g.edges)
+        # determinism: each component's smallest vertex is in class_a
+        assert {min(c) for c in nx.connected_components(nx_graph)} <= bp.class_a
+
 
 class TestAutomorphismCount:
     def test_single_edge(self):
@@ -292,7 +331,8 @@ class TestAutomorphismCount:
 def _profile_classes(g):
     classes = {}
     for v in range(g.n_vertices):
-        classes.setdefault(tuple(_path_profile(g.adjacency, v)), set()).add(v)
+        profile = _path_profile(g.adjacency, _bfs(g.adjacency, v)[0])
+        classes.setdefault(tuple(profile), set()).add(v)
     return sorted(classes.values(), key=min)
 
 
@@ -300,7 +340,8 @@ class TestPathProfile:
     @PROPERTY
     @given(g=small_graphs())
     def test_every_automorphism_keeps_the_profile(self, g):
-        profiles = [_path_profile(g.adjacency, v) for v in range(g.n_vertices)]
+        profiles = [_path_profile(g.adjacency, _bfs(g.adjacency, v)[0])
+                    for v in range(g.n_vertices)]
         for sigma in _vf2_isomorphisms(g):
             for v in range(g.n_vertices):
                 assert profiles[sigma[v]] == profiles[v], (sigma, v)
@@ -318,6 +359,7 @@ class TestPathProfile:
         # the 4-cycle and an isolated vertex: from 0, vertex 2 is reached by
         # two shortest paths, and vertex 4 not at all
         g = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 0)))
-        assert _path_profile(g.adjacency, 0) == [(-1, 0), (0, 1), (1, 1),
-                                                 (1, 1), (2, 2)]
-        assert _path_profile(g.adjacency, 4) == [(-1, 0)] * 4 + [(0, 1)]
+        assert _path_profile(g.adjacency, _bfs(g.adjacency, 0)[0]) == [
+            (-1, 0), (0, 1), (1, 1), (1, 1), (2, 2)]
+        assert (_path_profile(g.adjacency, _bfs(g.adjacency, 4)[0])
+                == [(-1, 0)] * 4 + [(0, 1)])
