@@ -88,7 +88,8 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a"
     are the cross-class edges: in a drawing that verifies, every edge is
     within DEFAULT_EDGE_TOL of length 1 and every non-edge at least
     DEFAULT_GAP_THRESHOLD > DEFAULT_EDGE_TOL away, so they are exactly the
-    pairs at distance 1 within DEFAULT_EDGE_TOL.
+    pairs at distance 1 within DEFAULT_EDGE_TOL.  Every edge must cross the
+    bipartition (ValueError otherwise), so none is lost.
     """
     if centers_class not in ("a", "b"):
         raise ValueError("centers_class must be 'a' or 'b'")
@@ -99,16 +100,21 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a"
             f"{report.max_edge_residual:.3e}, min non-edge gap "
             f"{report.min_nonedge_gap:.3e}, "
             f"{len(report.degeneracies)} degeneracies")
-    center_ids = sorted(bp.class_a if centers_class == "a" else bp.class_b)
+    centers = bp.class_a if centers_class == "a" else bp.class_b
+    center_ids = sorted(centers)
     point_ids = sorted(bp.class_b if centers_class == "a" else bp.class_a)
     if sorted(center_ids + point_ids) != list(range(d.graph.n_vertices)):
         raise ValueError("bipartition does not partition the drawing's vertices")
+    incidence = []
+    for u, v in d.graph.edges:
+        if (u in centers) == (v in centers):
+            raise ValueError("bipartition has an edge inside a class")
+        incidence.append((v, u) if u in centers else (u, v))
 
     return IncidenceStructure(
         points=tuple(d.positions[v] for v in point_ids),
         centers=tuple(d.positions[v] for v in center_ids),
-        incidence=tuple((pv, cv) for pv in point_ids for cv in center_ids
-                        if d.graph.has_edge(pv, cv)),
+        incidence=tuple(incidence),
         point_labels=tuple(point_ids),
         circle_labels=tuple(center_ids),
     )

@@ -69,9 +69,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edge_set
 
-    def to_json_dict(self) -> dict:
-        return {"n_vertices": self.n_vertices, "edges": [list(e) for e in self.edges]}
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
         return cls(data["n_vertices"], data["edges"])

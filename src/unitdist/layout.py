@@ -93,30 +93,18 @@ def rhombus_layout(params: RhombusParams) -> Drawing:
 
 
 def check_reflection_pair(a: RhombusParams, b: RhombusParams) -> bool:
-    """True iff drawing(b) is drawing(a) mirrored in the line y = x.
+    """True iff b is within 1e-9 of (a.k, a.h, -a.q, -a.p), per parameter.
 
-    The mirrored point set of a must equal the point set of b as multisets
-    (per-coordinate within 1e-9, matched one to one), and the induced vertex
-    correspondence must preserve adjacency.  Ambiguous matches (two vertices
-    of b within 1e-9 of one mirrored point) fail the check.
+    That map is the mirror in the line y = x: rhombus_layout(k, h, -q, -p)
+    is rhombus_layout(h, k, p, q) reflected in y = x, vertex v going to
+    sigma(v), where sigma(i) = (6 - i) mod 8 on the outer ring and
+    sigma(8 + j) = 8 + (6 - j) mod 8 on the inner ring (so 13 goes to 9).
+    sigma is an automorphism of GP(8,3), so the two drawings are mirror
+    images as drawings of the graph, not only as point sets.
     """
-    drawing_a = rhombus_layout(a)
-    drawing_b = rhombus_layout(b)
-    mirrored = [(y, x) for (x, y) in drawing_a.positions]
-    matched: list[int] = []
-    used: set[int] = set()
-    for mx, my in mirrored:
-        hits = [w for w, (bx, by) in enumerate(drawing_b.positions)
-                if w not in used and abs(bx - mx) <= _REFLECTION_TOL
-                and abs(by - my) <= _REFLECTION_TOL]
-        if len(hits) != 1:
-            return False
-        matched.append(hits[0])
-        used.add(hits[0])
-    edge_set = drawing_b.graph.edge_set
-    return all(((matched[u], matched[v]) if matched[u] < matched[v]
-                else (matched[v], matched[u])) in edge_set
-               for u, v in drawing_a.graph.edges)
+    mirror = (a.k, a.h, -a.q, -a.p)
+    return all(abs(x - y) <= _REFLECTION_TOL
+               for x, y in zip(b.as_tuple(), mirror))
 
 
 def circular_radii(n: int, s: int) -> tuple[float, float]:

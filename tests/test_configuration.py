@@ -7,7 +7,7 @@ import pytest
 from unitdist.configuration import (IncidenceStructure, NotFaithfulError,
                                     build_point_circle, dual,
                                     validate_configuration)
-from unitdist.graph import Bipartition
+from unitdist.graph import Bipartition, Graph
 from unitdist.layout import Drawing, circular_layout
 
 
@@ -65,6 +65,15 @@ class TestBuild:
                               gp83_bipartition.class_b)
         with pytest.raises(ValueError, match="partition"):
             build_point_circle(faithful_drawing, partial, "a")
+
+    def test_rejects_a_bipartition_with_an_edge_inside_a_class(self):
+        # the unit path 0-1-2-3 is faithful; classes {0, 1} / {2, 3} would
+        # drop its edges (0, 1) and (2, 3)
+        path = Drawing(Graph(4, ((0, 1), (1, 2), (2, 3))),
+                       ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)))
+        bp = Bipartition(frozenset({0, 1}), frozenset({2, 3}))
+        with pytest.raises(ValueError, match="edge inside a class"):
+            build_point_circle(path, bp, "a")
 
 
 class TestValidate:

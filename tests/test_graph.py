@@ -1,6 +1,8 @@
 """Graph construction, bipartition, and automorphism counting."""
 
+import dataclasses
 import itertools
+import json
 import math
 
 import networkx as nx
@@ -157,7 +159,7 @@ class TestGraphType:
 
     def test_json_round_trip(self):
         g = generalized_petersen(5, 2)
-        data = g.to_json_dict()
+        data = json.loads(json.dumps(dataclasses.asdict(g)))
         assert data["edges"] == sorted(data["edges"])
         assert Graph.from_json_dict(data) == g
 

@@ -18,6 +18,10 @@ Y_REFLECTION = {0: 4, 4: 0, 2: 2, 6: 6, 1: 3, 3: 1, 5: 7, 7: 5, 8: 12, 12: 8,
                 10: 10, 14: 14, 9: 11, 11: 9, 13: 15, 15: 13}
 HALF_TURN = {v: (v + 4) % 8 if v < 8 else 8 + ((v - 8) + 4) % 8
              for v in range(16)}
+# rhombus_layout(k, h, -q, -p) is rhombus_layout(h, k, p, q) reflected in
+# y = x, vertex v going to DIAGONAL[v]
+DIAGONAL = {v: (6 - v) % 8 if v < 8 else 8 + (6 - (v - 8)) % 8
+            for v in range(16)}
 
 
 def _is_automorphism(g, perm):
@@ -65,6 +69,16 @@ class TestRhombusLayout:
             expected = reflect(*pos[v])
             assert pos[relabel[v]] == pytest.approx(expected, abs=1e-9)
         assert _is_automorphism(faithful_drawing.graph, relabel)
+
+    def test_diagonal_mirror_is_the_parameter_map(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            h, k, p, q = rng.uniform(-3, 3, 4).tolist()
+            pos = rhombus_layout(RhombusParams(h, k, p, q)).positions
+            mirrored = rhombus_layout(RhombusParams(k, h, -q, -p)).positions
+            for v in range(16):
+                assert mirrored[DIAGONAL[v]] == (pos[v][1], pos[v][0])
+        assert _is_automorphism(generalized_petersen(8, 3), DIAGONAL)
 
     def test_half_turn_relabeling_is_fixed_point_free(self):
         assert all(HALF_TURN[v] != v for v in range(16))

@@ -459,6 +459,22 @@ class TestCheckReflectionPair:
         other = RhombusParams(1.2, 1.6, 0.8, 0.1)
         assert not check_reflection_pair(solutions[0], other)
 
+    def test_tolerance_is_1e_9_per_parameter(self, solutions):
+        a, b = solutions
+        near = RhombusParams(*(x + 0.5e-9 for x in b.as_tuple()))
+        assert check_reflection_pair(a, near)
+        for i in range(4):
+            off = list(b.as_tuple())
+            off[i] += 2e-9
+            assert not check_reflection_pair(a, RhombusParams(*off))
+
+    def test_true_for_mirrors_with_coincident_vertices(self):
+        # each drawing has six vertices at the origin (two outer ones and
+        # the inner 9, 11, 13, 15), and each is the other reflected in y = x
+        a, b = RhombusParams(2.0, 0.0, 0.0, 0.0), RhombusParams(0.0, 2.0, 0.0, 0.0)
+        assert check_reflection_pair(a, b)
+        assert check_reflection_pair(b, a)
+
 
 class TestSerialization:
     def test_round_trip(self):
