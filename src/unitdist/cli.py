@@ -204,27 +204,30 @@ def _verify(args, name: str, drawing: Drawing) -> FaithfulnessReport:
 
 
 def _config(args, drawing: Drawing) -> dict[str, IncidenceStructure] | None:
-    """The validated configurations, centres a then b, by name; None on a failure."""
+    """The validated configurations, centres a then b, by name, written only
+    once both have validated; None on a failure."""
     try:
         bp = bipartition(drawing.graph)
     except NotBipartiteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    structures = {}
+    checked = []
     for cls in "ab":
         try:
             structure = build_point_circle(drawing, bp, cls)
         except NotFaithfulError as exc:
             print(f"error: centers {cls}: {exc}", file=sys.stderr)
             return None
-        name = f"config_centers_{cls}"
-        _write(args.out_dir / f"{name}.json", dumps(structure.to_json_dict()))
         check = validate_configuration(structure)
         if check.signature is None:
             print(f"error: centers {cls}: configuration axioms violated: "
                   f"{'; '.join(check.violations)}", file=sys.stderr)
             return None
-        v, b, r, c = check.signature
+        checked.append((cls, structure, check.signature))
+    structures = {}
+    for cls, structure, (v, b, r, c) in checked:
+        name = f"config_centers_{cls}"
+        _write(args.out_dir / f"{name}.json", dumps(structure.to_json_dict()))
         print(f"centers {cls}: valid ({v}_{r}, {b}_{c}) configuration")
         structures[name] = structure
     return structures

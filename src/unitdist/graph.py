@@ -66,9 +66,6 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_set
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "Graph":
         return cls(data["n_vertices"], data["edges"])

@@ -11,27 +11,22 @@ All checks are exhaustive over the C(n, 2) vertex pairs and the edge pairs;
 every quantity is derived from pairwise distances and isometry-invariant
 predicates, so reports are stable under rigid motions.
 
-numpy prunes each scan in blocks of at most _BLOCK candidates, dropping only
-candidates that surely cannot change the report; math.dist and the scalar
-predicates below decide every verdict, value and witness.  The extra memory
-is O(_BLOCK + n + edges) for any drawing.
+Sweeps over x-sorted bounding boxes skip only candidates that surely cannot
+change the report; math.dist and the scalar predicates below decide every
+verdict, value and witness.  The extra memory is O(n + edges + findings) for
+any drawing.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .layout import Drawing
 
 DEFAULT_EDGE_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e-2
 DEFAULT_DEGENERACY_TOL = 1e-9
-_BLOCK = 2048    # candidates one numpy screen block holds
-_MARGIN = 1e-9   # relative margin around a block's least gap or separation
 
 COINCIDENT_VERTICES = "coincident-vertices"
 VERTEX_ON_EDGE_INTERIOR = "vertex-on-edge-interior"
@@ -127,106 +122,104 @@ def verify(d: Drawing) -> FaithfulnessReport:
     interval degeneracies.  Witnesses are the lexicographically first
     extremal pairs, so the report is deterministic.
 
-    A numpy screen drops only candidates whose finite screen value clears
-    the decision by a margin; every edge and every kept candidate then goes,
-    in scan order, through math.dist or the two predicates above.
+    Sweeps over bounding boxes skip only candidates that surely cannot
+    change the report; every edge and every candidate they keep goes through
+    math.dist or the two predicates above.
     """
     tol = DEFAULT_DEGENERACY_TOL
     pos = d.positions
     n = d.graph.n_vertices
     edge_set = d.graph.edge_set
-    xy = np.array(pos, dtype=float).reshape(n, 2).T
-    edges = np.array(d.graph.edges, dtype=np.intp).reshape(-1, 2)
-    edge_ranks = _pair_rank(edges[:, 0], edges[:, 1], n)  # ascending
+    # Each rounded step inside math.dist and the predicates (a difference of
+    # two coordinates, a product with t in [0, 1], a sum) moves a point by at
+    # most about 2**-48 * max|coordinate|, whatever the segment's length.  So
+    # a vertex that point_on_segment_interior puts within tol of a segment
+    # lies within slack of the segment's bounding box, and two segments that
+    # segments_overlap finds overlapping come within slack of each other.
+    slack = 2 * tol + 2.0 ** -44 * max((abs(c) for p in pos for c in p),
+                                       default=0.0)
 
     max_edge_residual = 0.0
     edge_witness: tuple[int, int] | None = None
-    min_gap = math.inf
-    gap_witness: tuple[int, int] | None = None
-    min_sep = math.inf
-    sep_witness: tuple[int, int] | None = None
-    degeneracies: list[Degeneracy] = []
-
-    with np.errstate(all="ignore"):
-        for ranks, first, second in _pairs(n):
-            is_edge = np.zeros(len(ranks), dtype=bool)
-            lo, hi = np.searchsorted(edge_ranks, (ranks[0], ranks[-1] + 1))
-            is_edge[edge_ranks[lo:hi] - ranks[0]] = True
-            dx, dy = xy[:, second] - xy[:, first]
-            dists = np.hypot(dx, dy)
-            gaps = np.abs(dists - 1.0)
-            keep = (is_edge | ~_cleared(dists, dists >= 2 * tol)
-                    | _near_least(dists, 0.0, np.isfinite(dists))
-                    | _near_least(gaps, 1.0, ~is_edge & np.isfinite(gaps)))
-            for i, j in zip(first[keep].tolist(), second[keep].tolist()):
-                dist = math.dist(pos[i], pos[j])
-                if dist < min_sep:
-                    min_sep, sep_witness = dist, (i, j)
-                if (i, j) in edge_set:
-                    res = abs(dist - 1.0)
-                    if res > max_edge_residual or edge_witness is None:
-                        max_edge_residual, edge_witness = res, (i, j)
-                else:
-                    gap = abs(dist - 1.0)
-                    if gap < min_gap:
-                        min_gap, gap_witness = gap, (i, j)
-                if dist < tol:
-                    degeneracies.append(Degeneracy(COINCIDENT_VERTICES, (i, j)))
-
-        # Degenerate (zero-length) edges are already reported as coincident
+    solid_edges: list[tuple[int, int]] = []
+    for i, j in d.graph.edges:  # in lexicographic order
+        dist = math.dist(pos[i], pos[j])
+        res = abs(dist - 1.0)
+        if res > max_edge_residual or edge_witness is None:
+            max_edge_residual, edge_witness = res, (i, j)
+        # Degenerate (zero-length) edges are reported as coincident
         # vertices; skip them in the segment predicates below.
-        solid_edges = [e for e in d.graph.edges
-                       if math.dist(pos[e[0]], pos[e[1]]) > tol]
-        ends = np.array(solid_edges, dtype=np.intp).reshape(-1, 2)
-        a_xy, b_xy = xy[:, ends[:, 0]], xy[:, ends[:, 1]]
-        u = b_xy - a_xy
-        # one column per solid edge ab: ax, ay, ux, uy (u = b - a), |u|^2,
-        # |u|, bx, by, computed as the predicates compute them
-        seg = np.vstack((a_xy, u, u[0] * u[0] + u[1] * u[1],
-                         np.hypot(u[0], u[1]), b_xy))
+        if dist > tol:
+            solid_edges.append((i, j))
 
-        for e, v in _grid(len(solid_edges), n):
-            ax, ay, ux, uy, length_sq = seg[:5, e]
-            px, py = xy[:, v]
-            t = ((px - ax) * ux + (py - ay) * uy) / length_sq
-            offset = np.hypot(px - (ax + t * ux), py - (ay + t * uy))
-            keep = ((v != ends[e, 0]) & (v != ends[e, 1])
-                    & ((length_sq <= 4 * tol * tol)  # the predicate raises
-                       | ~(_cleared(t, (t <= tol / 2) | (t >= 1.0 - tol / 2))
-                           | _cleared(offset, offset >= 2 * tol))))
-            for k, pt in zip(e[keep].tolist(), v[keep].tolist()):
-                a, b = solid_edges[k]
-                if point_on_segment_interior(pos[pt], pos[a], pos[b]):
-                    degeneracies.append(
-                        Degeneracy(VERTEX_ON_EDGE_INTERIOR, (pt, a, b)))
+    # A pair more than 2 apart in x or in y has a separation over 2 and a
+    # gap over 1; the window's 2 * slack more covers the rounding of its
+    # bounds.  So once the window holds a separation <= 2 and a non-edge gap
+    # <= 1, no pair outside it changes the report; otherwise scan all.
+    points = [(x, y, x, y) for x, y in pos]
+    for reach in (2 + 2 * slack, math.inf):
+        # (value, i, j), least first; (inf,) sorts after every such triple
+        # with a finite value, and an infinite value sets no witness
+        sep = gap = (math.inf,)
+        coincident = []
+        for i, j in _meeting(points, reach):
+            dist = math.dist(pos[i], pos[j])
+            if dist <= sep[0] and (dist, i, j) < sep:
+                sep = (dist, i, j)
+            if (i, j) not in edge_set:
+                g = abs(dist - 1.0)
+                if g <= gap[0] and (g, i, j) < gap:
+                    gap = (g, i, j)
+            if dist < tol:
+                coincident.append((i, j))
+        if sep[0] <= 2.0 and gap[0] <= 1.0:
+            break
 
-        for _, first, second in _pairs(len(solid_edges)):
-            # segments_overlap's four _near_line tests: the first screens
-            # the whole block, the other three what it keeps
-            keep = ~_off_line(seg[:2, second], seg[:6, first])
-            first, second = first[keep], second[keep]
-            s1, s2 = seg[:, first], seg[:, second]
-            keep = ~(_off_line(s2[6:], s1) | _off_line(s1[:2], s2)
-                     | _off_line(s1[6:], s2))
-            for i, j in zip(first[keep].tolist(), second[keep].tolist()):
-                e1, e2 = solid_edges[i], solid_edges[j]
-                if segments_overlap(pos[e1[0]], pos[e1[1]],
-                                    pos[e2[0]], pos[e2[1]]):
-                    degeneracies.append(
-                        Degeneracy(COLLINEAR_OVERLAPPING_EDGES, e1 + e2))
+    m = len(solid_edges)
+    boxes = []
+    for a, b in solid_edges:
+        (ax, ay), (bx, by) = pos[a], pos[b]
+        dx, dy = bx - ax, by - ay
+        if dx * dx + dy * dy <= tol * tol:
+            # point_on_segment_interior raises on it: pair it with every vertex
+            boxes.append((-math.inf, -math.inf, math.inf, math.inf))
+        else:
+            boxes.append((min(ax, bx) - slack, min(ay, by) - slack,
+                          max(ax, bx) + slack, max(ay, by) + slack))
+    on_edge, overlapping = [], []
+    # edges first, then the vertices as points: a vertex meets an edge's box
+    # within slack of it, two edges' boxes within 2 * slack of each other
+    for i, j in _meeting(boxes + points, 0.0):
+        if j < m:
+            (a1, b1), (a2, b2) = solid_edges[i], solid_edges[j]
+            if segments_overlap(pos[a1], pos[b1], pos[a2], pos[b2]):
+                overlapping.append((i, j))
+        elif i < m:
+            (a, b), v = solid_edges[i], j - m
+            if (v != a and v != b
+                    and point_on_segment_interior(pos[v], pos[a], pos[b])):
+                on_edge.append((i, v))
+
+    degeneracies = [Degeneracy(COINCIDENT_VERTICES, pair)
+                    for pair in sorted(coincident)]
+    degeneracies += [Degeneracy(VERTEX_ON_EDGE_INTERIOR, (v, *solid_edges[k]))
+                     for k, v in sorted(on_edge)]
+    degeneracies += [Degeneracy(COLLINEAR_OVERLAPPING_EDGES,
+                                solid_edges[i] + solid_edges[j])
+                     for i, j in sorted(overlapping)]
 
     n_edges = len(d.graph.edges)
     is_unit = max_edge_residual <= DEFAULT_EDGE_TOL
-    faithful = is_unit and min_gap >= DEFAULT_GAP_THRESHOLD and not degeneracies
+    faithful = is_unit and gap[0] >= DEFAULT_GAP_THRESHOLD and not degeneracies
     return FaithfulnessReport(
         is_unit_distance=is_unit,
         is_faithful=faithful,
         max_edge_residual=max_edge_residual,
         max_edge_residual_witness=edge_witness,
-        min_nonedge_gap=min_gap,
-        min_nonedge_gap_witness=gap_witness,
-        min_vertex_separation=min_sep,
-        min_vertex_separation_witness=sep_witness,
+        min_nonedge_gap=gap[0],
+        min_nonedge_gap_witness=gap[1:] or None,
+        min_vertex_separation=sep[0],
+        min_vertex_separation_witness=sep[1:] or None,
         degeneracies=tuple(degeneracies),
         edge_tol=DEFAULT_EDGE_TOL,
         gap_threshold=DEFAULT_GAP_THRESHOLD,
@@ -235,50 +228,15 @@ def verify(d: Drawing) -> FaithfulnessReport:
     )
 
 
-def _pair_rank(i, j, n):
-    """Rank of the pair i < j among the pairs of range(n) in lexicographic
-    order."""
-    return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
-def _pairs(n: int):
-    """(rank, i, j) index arrays of the pairs i < j of range(n), in
-    lexicographic order, at most _BLOCK pairs at a time."""
-    rows = np.arange(n)
-    starts = _pair_rank(rows, rows + 1, n)
-    total = n * (n - 1) // 2
-    for start in range(0, total, _BLOCK):
-        ranks = np.arange(start, min(start + _BLOCK, total))
-        first = np.searchsorted(starts, ranks, side="right") - 1
-        yield ranks, first, ranks - starts[first] + first + 1
-
-
-def _grid(n_rows: int, n_cols: int):
-    """(row, column) index arrays of an n_rows x n_cols grid, row by row, at
-    most _BLOCK cells at a time."""
-    total = n_rows * n_cols
-    for start in range(0, total, _BLOCK):
-        yield np.divmod(np.arange(start, min(start + _BLOCK, total)), n_cols)
-
-
-def _cleared(value, beyond):
-    """Where a screen may drop a candidate: its value is beyond the
-    threshold and finite, so NaN and inf always reach the scalar code."""
-    return np.isfinite(value) & beyond
-
-
-def _off_line(p, seg):
-    """Where _near_line(p, a, b) is surely False, for points p (rows x, y)
-    and segments ab (columns of verify's seg)."""
-    ax, ay, ux, uy, _, length = seg[:6]
-    distance = np.abs(ux * (p[1] - ay) - uy * (p[0] - ax)) / length
-    return _cleared(distance, distance >= 2 * DEFAULT_DEGENERACY_TOL)
-
-
-def _near_least(value, offset: float, where):
-    """Where, among `where`, value is within _MARGIN of its least there,
-    relative to offset + least (the distance scale of the quantity), or
-    within the smallest normal float, which covers subnormal rounding."""
-    least = np.min(value, initial=np.inf, where=where)
-    return where & (value <= least + _MARGIN * (offset + least)
-                    + sys.float_info.min)
+def _meeting(boxes, reach: float):
+    """Index pairs i < j of the boxes (x0, y0, x1, y1) that come within reach
+    of each other in x and in y.  The boxes are swept in order of x0; a box
+    stays active until a later x0 passes its x1 + reach."""
+    active: list[tuple[float, float, float, int]] = []
+    for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        x0, y0, x1, y1 = boxes[i]
+        active = [box for box in active if box[0] >= x0]
+        for _, y_lo, y_hi, j in active:
+            if y0 <= y_hi and y1 >= y_lo:
+                yield (j, i) if j < i else (i, j)
+        active.append((x1 + reach, y0 - reach, y1 + reach, i))

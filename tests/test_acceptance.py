@@ -156,7 +156,8 @@ def test_criterion_07_configuration_validity(sweep):
             failures.append(f"centers {name} does not validate as (8,8,3,3)")
         for pv in s.point_labels:
             for cv in s.circle_labels:
-                if ((pv, cv) in pairs) != drawing.graph.has_edge(pv, cv):
+                if ((pv, cv) in pairs) != ((min(pv, cv), max(pv, cv))
+                                                in drawing.graph.edge_set):
                     failures.append(f"incidence/adjacency mismatch at "
                                     f"({pv},{cv}) in centers {name}")
     for i in range(8):

@@ -515,3 +515,5 @@ class TestConfigVerdicts:
         assert main(["config", str(path), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert "configuration axioms violated" in err and "Traceback" not in err
+        # neither configuration is written when one of them fails
+        assert not list(out.glob("config_centers_*.json"))

@@ -38,7 +38,8 @@ class TestBuild:
             pairs = set(s.incidence)
             for pv, point in zip(s.point_labels, s.points):
                 for cv, center in zip(s.circle_labels, s.centers):
-                    assert ((pv, cv) in pairs) == g.has_edge(pv, cv)
+                    edge = (min(pv, cv), max(pv, cv))
+                    assert ((pv, cv) in pairs) == (edge in g.edge_set)
                     # the metric oracle: incident exactly at distance 1
                     on_circle = abs(math.dist(point, center) - 1.0) <= 1e-9
                     assert ((pv, cv) in pairs) == on_circle

@@ -1,8 +1,9 @@
-"""The package's shape: module-level imports only, no import cycle, and only
-the five settings that cli.py or a benchmark workload sets: main's argv,
-build_point_circle's centres class, enumerate_solutions' seed count and RNG
-seed, and circular_layout's rotation_sign, which the benchmark's GP(n,s)
-family sets and cli.py leaves at -1.  The verifier's tolerances are fixed."""
+"""The package's shape: module-level imports only, no import cycle, a
+verifier without numpy, and only the five settings that cli.py or a benchmark
+workload sets: main's argv, build_point_circle's centres class,
+enumerate_solutions' seed count and RNG seed, and circular_layout's
+rotation_sign, which the benchmark's GP(n,s) family sets and cli.py leaves at
+-1.  The verifier's tolerances are fixed."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,16 @@ def test_no_import_inside_a_function():
               for node in ast.walk(fn)
               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_verifier_imports_no_numpy():
+    imported = set()
+    for node in ast.walk(MODULES["verifier"]):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.partition(".")[0])
+    assert "math" in imported and "numpy" not in imported
 
 
 def test_import_graph_is_acyclic():

@@ -4,7 +4,7 @@ against the drawings they came from, and verify against its scalar pair
 scans.
 
 Examples are derandomized, so every run checks the same 100 cases per test
-(300 for verify against its scalar scans).
+(400 for verify against its scalar scans).
 """
 
 import contextlib
@@ -379,7 +379,19 @@ def pushed(draw):
     return Drawing(drawing.graph, tuple(positions))
 
 
-@settings(PROPERTY, max_examples=300)
+@st.composite
+def translated(draw):
+    """A pushed() drawing moved by about 2**10 to 2**34, where the slack of
+    verify's sweeps is mostly its term in the largest coordinate."""
+    drawing = draw(pushed())
+    shift = 2.0 ** draw(st.integers(10, 34))
+    sx = draw(st.sampled_from((-1, 0, 1))) * shift
+    sy = draw(st.sampled_from((-1, 1))) * shift
+    return Drawing(drawing.graph,
+                   tuple((x + sx, y + sy) for x, y in drawing.positions))
+
+
+@settings(PROPERTY, max_examples=400)
 # points at +-1.7e308: the differences overflow to inf
 @example(drawing=Drawing(Graph(3, ((0, 1), (1, 2))),
                          ((1.7e308, 0.0), (-1.7e308, 0.0), (0.0, 0.0))))
@@ -393,7 +405,11 @@ def pushed(draw):
 @example(drawing=Drawing(Graph(6, ()), (
     (0.0, 0.0), (0.512, 0.477), (0.0, 10.0), (0.699766389590126, 10.0),
     (20.0, 0.0), (20.2, 0.0))))
-@given(drawing=st.one_of(drawings(grid), pushed(), drawings()))
+# every non-edge more than 2 apart: the least gap lies outside the sweep's
+# window, so verify scans every pair
+@example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
+    (0.0, 0.0), (1.0, 0.0), (10.0, 0.0), (11.0, 0.0))))
+@given(drawing=st.one_of(drawings(grid), pushed(), translated(), drawings()))
 def test_verify_matches_scalar_scans(drawing):
     assert verify(drawing) == _scalar_verify(drawing)
 
