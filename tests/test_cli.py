@@ -146,8 +146,9 @@ class TestRender:
                      str(pipeline_dir / "config_centers_a.json"),
                      "--out-dir", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "drawing.svg").exists()
-        assert (tmp_path / "config_centers_a.svg").exists()
+        for name in ("drawing.svg", "config_centers_a.svg"):
+            assert (tmp_path / name).read_bytes() == \
+                (pipeline_dir / name).read_bytes(), name
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert main(["render", "--out-dir", str(tmp_path)]) == 1
@@ -188,6 +189,7 @@ class TestRender:
         assert code == 1
         err = capsys.readouterr().err
         assert "unitdist: error:" in err and "Traceback" not in err
+        assert "overflows a float" in err
         assert not (tmp_path / "o").exists()
 
 

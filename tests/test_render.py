@@ -1,11 +1,11 @@
-"""SVG rendering: element counts, determinism, formatting."""
+"""SVG rendering: element counts, determinism, formatting, exact bytes."""
 
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from unitdist.configuration import build_point_circle, dual
+from unitdist.configuration import IncidenceStructure, build_point_circle, dual
 from unitdist.graph import Graph
 from unitdist.layout import Drawing
 from unitdist.render import render_configuration, render_drawing
@@ -92,3 +92,41 @@ class TestRenderConfiguration:
     def test_well_formed(self, structure):
         ET.fromstring(render_configuration(structure))
 
+
+_TEXT = 'fill="#212121" font-size="11.000000" font-family="sans-serif"'
+_DISC = 'r="4.000000" fill="#c62828" />'
+
+
+def _head(width, height):
+    return ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">')
+
+
+@pytest.mark.parametrize("render, shape, golden", [
+    (render_drawing, Drawing(Graph(2, ((0, 1),)), ((0.0, 0.0), (1.0, 0.0))), [
+        _head("200.000000", "80.000000"),
+        '<line x1="40.000000" y1="40.000000" x2="160.000000" y2="40.000000" '
+        'stroke="#37474f" stroke-width="1.500000" />',
+        f'<circle cx="40.000000" cy="40.000000" {_DISC}',
+        f'<circle cx="160.000000" cy="40.000000" {_DISC}',
+        f'<text x="47.000000" y="33.000000" {_TEXT}>0</text>',
+        f'<text x="167.000000" y="33.000000" {_TEXT}>1</text>']),
+    (render_configuration, IncidenceStructure(
+        ((0.0, 1.0),), ((0.0, 0.0),), ((0, 1),), (0,), (1,)), [
+        _head("320.000000", "440.000000"),
+        '<circle cx="160.000000" cy="280.000000" r="120.000000" fill="none" '
+        'stroke="#1565c0" stroke-width="1.500000" />',
+        f'<circle cx="160.000000" cy="160.000000" {_DISC}',
+        f'<text x="167.000000" y="273.000000" {_TEXT}>1</text>',
+        f'<text x="167.000000" y="153.000000" {_TEXT}>0</text>']),
+    # no circles, so no unit pad around the points
+    (render_configuration, IncidenceStructure(
+        ((0.5, -0.25), (-1.0, 2.0)), (), (), (3, 5), ()), [
+        _head("260.000000", "350.000000"),
+        f'<circle cx="220.000000" cy="310.000000" {_DISC}',
+        f'<circle cx="40.000000" cy="40.000000" {_DISC}',
+        f'<text x="227.000000" y="303.000000" {_TEXT}>3</text>',
+        f'<text x="47.000000" y="33.000000" {_TEXT}>5</text>']),
+], ids=["edge", "point-on-circle", "no-circles"])
+def test_golden_bytes(render, shape, golden):
+    assert render(shape) == "\n".join([*golden, "</svg>"]) + "\n"
