@@ -122,7 +122,7 @@ def jacobian(params: RhombusParams) -> np.ndarray:
 def _step_terms(h, k, p, q, f1, f2, f3, f4, maximum):
     """Numerators and determinant of the Newton step, and its singular test.
 
-    Takes floats with maximum=max or equal-shape arrays with np.maximum.
+    Takes floats with maximum=_larger or equal-shape arrays with np.maximum.
     The Jacobian is diag(2, 2, 2, 1) K with
 
         K = [[h, k, 0, 0], [0, -a, p, a], [b, 0, b, q], [-c, d, 2c, 2d]],
@@ -133,9 +133,9 @@ def _step_terms(h, k, p, q, f1, f2, f3, f4, maximum):
     The step is singular when the Jacobian, each row scaled by its max-abs
     entry, has |det| < 1e-14; that is |det K| <= 2e-14 times the product of
     the row maxima of K, which also holds when a row is zero.  A NaN entry
-    of K makes det K NaN and the test False, so max, which may drop a NaN,
-    gives the same verdict as np.maximum.  Returns the four numerators of
-    adj(K) r, det K and the singular verdict.
+    of K makes det K NaN and the test False, so _larger, which may drop a
+    NaN, gives the same verdict as np.maximum.  Returns the four numerators
+    of adj(K) r, det K and the singular verdict.
     """
     r0, r1, r2, r3 = -0.5 * f1, -0.5 * f2, -0.5 * f3, -1.0 * f4
     a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
@@ -198,36 +198,41 @@ def newton_solve(seed: RhombusParams) -> RhombusParams:
                         f"(residual {fnorm:.3e})")
 
 
+def _larger(a: float, b: float) -> float:
+    """The larger of two floats, for _step_terms: builtin max costs more."""
+    return a if a > b else b
+
+
 def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
     """_newton_sweep on one start, in Python floats: the same final
     iterate, bit for bit, and status."""
-    x = tuple(map(float, start))
-    f = _residuals(*x)
+    h, k, p, q = map(float, start)
+    f = _residuals(h, k, p, q)
     fn = _max_norm(f)
     for _ in range(DEFAULT_MAX_ITER):
         if fn <= DEFAULT_TOL:
-            return x, CONVERGED
-        numerators, det, singular = _step_terms(*x, *f, max)
+            return (h, k, p, q), CONVERGED
+        numerators, det, singular = _step_terms(h, k, p, q, *f, _larger)
         if singular:  # the sweep's zero step lowers no norm
-            return x, SINGULAR
+            return (h, k, p, q), SINGULAR
         if not det:
             # only a NaN row-maxima product (0 times inf) lets a zero det
             # pass the test; the sweep's step is then all inf or NaN, and
             # every trial has a residual norm of inf or NaN
-            return x, STALLED
-        h, k, p, q = x
+            return (h, k, p, q), STALLED
         sh, sk, sp, sq = (n / det for n in numerators)
         for damping in _DAMPINGS:
-            trial = (h + damping * sh, k + damping * sk, p + damping * sp,
-                     q + damping * sq)
-            f_trial = _residuals(*trial)
-            fn_trial = _max_norm(f_trial)
-            if fn_trial < fn:
+            th, tk, tp, tq = (h + damping * sh, k + damping * sk,
+                              p + damping * sp, q + damping * sq)
+            f = f1, f2, f3, f4 = _residuals(th, tk, tp, tq)
+            # _max_norm(f) < fn, with no norm built: a NaN fails both
+            if abs(f1) < fn and abs(f2) < fn and abs(f3) < fn and abs(f4) < fn:
                 break
         else:
-            return x, STALLED
-        x, f, fn = trial, f_trial, fn_trial
-    return x, CONVERGED if fn <= DEFAULT_TOL else BUDGET
+            return (h, k, p, q), STALLED
+        h, k, p, q = th, tk, tp, tq
+        fn = max(abs(f1), abs(f2), abs(f3), abs(f4))  # f holds no NaN here
+    return (h, k, p, q), CONVERGED if fn <= DEFAULT_TOL else BUDGET
 
 
 def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT,

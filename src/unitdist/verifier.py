@@ -73,15 +73,16 @@ def point_on_segment_interior(pt: Point, a: Point, b: Point) -> bool:
     """True iff pt lies within tol = DEFAULT_DEGENERACY_TOL of segment ab,
     strictly between the ends: the normalized projection parameter must fall
     in the open interval (tol, 1 - tol), so endpoints never count.  A segment
-    shorter than tol is rejected with ValueError.
+    with math.dist(a, b) <= tol is rejected with ValueError.
     """
     tol = DEFAULT_DEGENERACY_TOL
     ax, ay = a
     bx, by = b
     dx, dy = bx - ax, by - ay
-    length_sq = dx * dx + dy * dy
-    if length_sq <= tol * tol:
+    # math.hypot(dx, dy) is math.dist(a, b): both take the norm of |b - a|
+    if math.hypot(dx, dy) <= tol:
         raise ValueError("degenerate segment: endpoints coincide within tol")
+    length_sq = dx * dx + dy * dy
     t = ((pt[0] - ax) * dx + (pt[1] - ay) * dy) / length_sq
     if not (tol < t < 1.0 - tol):
         return False
@@ -91,27 +92,29 @@ def point_on_segment_interior(pt: Point, a: Point, b: Point) -> bool:
 
 def segments_overlap(a1: Point, b1: Point, a2: Point, b2: Point) -> bool:
     """True iff the segments are collinear within DEFAULT_DEGENERACY_TOL and
-    overlap in more than a point (a shared endpoint alone does not count)."""
+    overlap in more than a point (a shared endpoint alone does not count).
+    A segment with math.dist <= DEFAULT_DEGENERACY_TOL raises ValueError."""
     tol = DEFAULT_DEGENERACY_TOL
-    if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
+    (x1, y1), (x2, y2) = a1, a2
+    ux, uy = b1[0] - x1, b1[1] - y1
+    vx, vy = b2[0] - x2, b2[1] - y2
+    # math.hypot(b - a) is math.dist(a, b): both take the norm of |b - a|
+    length1, length2 = math.hypot(ux, uy), math.hypot(vx, vy)
+    if length1 <= tol or length2 <= tol:
         raise ValueError("degenerate segment")
-    if not (_near_line(a2, a1, b1) and _near_line(b2, a1, b1)
-            and _near_line(a1, a2, b2) and _near_line(b1, a2, b2)):
+    # each end of one segment within tol of the other's line
+    wx, wy = x2 - x1, y2 - y1
+    zx, zy = b2[0] - x1, b2[1] - y1
+    if not (abs(ux * wy - uy * wx) / length1 < tol
+            and abs(ux * zy - uy * zx) / length1 < tol
+            and abs(vx * (y1 - y2) - vy * (x1 - x2)) / length2 < tol
+            and abs(vx * (b1[1] - y2) - vy * (b1[0] - x2)) / length2 < tol):
         return False
     # Project everything on the direction of the first segment.
-    ux, uy = b1[0] - a1[0], b1[1] - a1[1]
-    length = math.hypot(ux, uy)
-    ux, uy = ux / length, uy / length
-    s_lo, s_hi = sorted(((a2[0] - a1[0]) * ux + (a2[1] - a1[1]) * uy,
-                         (b2[0] - a1[0]) * ux + (b2[1] - a1[1]) * uy))
-    overlap = min(length, s_hi) - max(0.0, s_lo)
+    ux, uy = ux / length1, uy / length1
+    s_lo, s_hi = sorted((wx * ux + wy * uy, zx * ux + zy * uy))
+    overlap = min(length1, s_hi) - max(0.0, s_lo)
     return overlap > tol
-
-
-def _near_line(pt: Point, a: Point, b: Point) -> bool:
-    ux, uy = b[0] - a[0], b[1] - a[1]
-    cross = ux * (pt[1] - a[1]) - uy * (pt[0] - a[0])
-    return abs(cross) / math.hypot(ux, uy) < DEFAULT_DEGENERACY_TOL
 
 
 def verify(d: Drawing) -> FaithfulnessReport:
@@ -179,13 +182,8 @@ def verify(d: Drawing) -> FaithfulnessReport:
     boxes = []
     for a, b in solid_edges:
         (ax, ay), (bx, by) = pos[a], pos[b]
-        dx, dy = bx - ax, by - ay
-        if dx * dx + dy * dy <= tol * tol:
-            # point_on_segment_interior raises on it: pair it with every vertex
-            boxes.append((-math.inf, -math.inf, math.inf, math.inf))
-        else:
-            boxes.append((min(ax, bx) - slack, min(ay, by) - slack,
-                          max(ax, bx) + slack, max(ay, by) + slack))
+        boxes.append((min(ax, bx) - slack, min(ay, by) - slack,
+                      max(ax, bx) + slack, max(ay, by) + slack))
     on_edge, overlapping = [], []
     # edges first, then the vertices as points: a vertex meets an edge's box
     # within slack of it, two edges' boxes within 2 * slack of each other

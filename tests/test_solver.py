@@ -291,6 +291,94 @@ def test_scalar_driver_matches_its_row_of_the_sweep(start):
     assert [t.hex() for t in x] == [t.hex() for t in row.tolist()]
 
 
+def _newton_scalar_reference(start):
+    """_newton_scalar as it was, with builtin max and a norm per trial: the
+    oracle for its iterates, statuses and _residuals calls."""
+    x = tuple(map(float, start))
+    f = solver._residuals(*x)
+    fn = solver._max_norm(f)
+    for _ in range(solver.DEFAULT_MAX_ITER):
+        if fn <= solver.DEFAULT_TOL:
+            return x, CONVERGED
+        numerators, det, singular = solver._step_terms(*x, *f, max)
+        if singular:
+            return x, SINGULAR
+        if not det:
+            return x, STALLED
+        h, k, p, q = x
+        sh, sk, sp, sq = (n / det for n in numerators)
+        for damping in solver._DAMPINGS:
+            trial = (h + damping * sh, k + damping * sk, p + damping * sp,
+                     q + damping * sq)
+            f_trial = solver._residuals(*trial)
+            fn_trial = solver._max_norm(f_trial)
+            if fn_trial < fn:
+                break
+        else:
+            return x, STALLED
+        x, f, fn = trial, f_trial, fn_trial
+    return x, CONVERGED if fn <= solver.DEFAULT_TOL else BUDGET
+
+
+def _assert_scalar_driver_matches_the_reference(starts):
+    """The same iterate by float.hex, status and number of _residuals calls,
+    so no extra trial is evaluated."""
+    calls = []
+    residuals = solver._residuals
+
+    def counting(*x):
+        calls.append(None)
+        return residuals(*x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_residuals", counting)
+        for start in starts:
+            x, code = _newton_scalar(start)
+            count = len(calls)
+            want_x, want_code = _newton_scalar_reference(start)
+            assert code == want_code, start
+            assert [t.hex() for t in x] == [t.hex() for t in want_x], start
+            assert len(calls) == 2 * count, start
+            calls.clear()
+
+
+def test_scalar_driver_matches_the_reference_on_box_starts():
+    lows, highs = np.array(DEFAULT_BOX).T
+    starts = np.random.default_rng(0).uniform(lows, highs, (10_000, 4))
+    _assert_scalar_driver_matches_the_reference(starts.tolist())
+
+
+def test_scalar_driver_matches_the_reference_on_singular_and_nonfinite_starts():
+    _assert_scalar_driver_matches_the_reference(EXACTLY_SINGULAR
+                                                + NONFINITE_STARTS)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(start=st.one_of(st.tuples(box, box, box, box),
+                       st.tuples(wild, wild, wild, wild)))
+def test_scalar_driver_matches_the_reference_on_any_start(start):
+    _assert_scalar_driver_matches_the_reference([start])
+
+
+def test_larger_gives_the_step_terms_of_max():
+    rows = np.random.default_rng(1).uniform(-3.0, 3.0, (10_000, 4)).tolist()
+    for row in rows:
+        terms = (*row, *solver._residuals(*row))
+        assert (solver._step_terms(*terms, solver._larger)
+                == solver._step_terms(*terms, max))
+    # non-finite rows: some maxima differ by a NaN, never the verdict
+    specials = [math.inf, -math.inf, math.nan, 1e300, 0.0]
+    rng = np.random.default_rng(2)
+    rows = EXACTLY_SINGULAR + NONFINITE_STARTS + [
+        tuple(specials[i] if i < len(specials) else x
+              for i, x in zip(rng.integers(0, 10, 4).tolist(), row))
+        for row in rng.uniform(-3.0, 3.0, (10_000, 4)).tolist()]
+    for row in rows:
+        terms = (*row, *solver._residuals(*row))
+        assert (solver._step_terms(*terms, solver._larger)[2]
+                == solver._step_terms(*terms, max)[2]), row
+
+
 class TestSeedStream:
     """Start i is the same for any seed count and any chunking of the draw."""
 

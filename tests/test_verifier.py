@@ -182,6 +182,119 @@ class TestPredicates:
         with pytest.raises(ValueError):
             segments_overlap((0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (2.0, 0.0))
 
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.6, 0.8),
+                                           (0.5 ** 0.5, 0.5 ** 0.5)])
+    def test_degenerate_segment_rule_is_the_distance(self, direction):
+        # lengths tol * (1 +- a few ulps), from (0, 0); along (0.6, 0.8)
+        # math.dist is tol at some ends where x * x + y * y > tol * tol
+        end = x, y = direction[0] * 1e-9, direction[1] * 1e-9
+        ends = [(x, y)]
+        for toward in (-1.0, 1.0):
+            for _ in range(3):
+                y = math.nextafter(y, toward) if y else y
+                x = math.nextafter(x, toward)
+                ends.append((x, y))
+            x, y = end
+        origin, far = (0.0, 0.0), (3.0, 4.0)
+        raised = []
+        for b in ends:
+            degenerate = math.dist(origin, b) <= 1e-9
+            raised.append(degenerate)
+            if degenerate:
+                with pytest.raises(ValueError, match=r"^degenerate segment: "
+                                   r"endpoints coincide within tol$"):
+                    point_on_segment_interior(far, origin, b)
+            else:
+                assert not point_on_segment_interior(far, origin, b)
+                # a solid edge, so verify scans it and raises nothing
+                report = verify(Drawing(Graph(3, ((0, 1),)), (origin, b, far)))
+                assert not report.degeneracies
+        assert True in raised and False in raised
+
+
+def _segments_overlap_reference(a1, b1, a2, b2):
+    """segments_overlap as it was with a _near_line helper: the oracle."""
+    tol = 1e-9
+    if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
+        raise ValueError("degenerate segment")
+    if not (_near_line_reference(a2, a1, b1) and _near_line_reference(b2, a1, b1)
+            and _near_line_reference(a1, a2, b2)
+            and _near_line_reference(b1, a2, b2)):
+        return False
+    ux, uy = b1[0] - a1[0], b1[1] - a1[1]
+    length = math.hypot(ux, uy)
+    ux, uy = ux / length, uy / length
+    s_lo, s_hi = sorted(((a2[0] - a1[0]) * ux + (a2[1] - a1[1]) * uy,
+                         (b2[0] - a1[0]) * ux + (b2[1] - a1[1]) * uy))
+    overlap = min(length, s_hi) - max(0.0, s_lo)
+    return overlap > tol
+
+
+def _near_line_reference(pt, a, b):
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    cross = ux * (pt[1] - a[1]) - uy * (pt[0] - a[0])
+    return abs(cross) / math.hypot(ux, uy) < 1e-9
+
+
+def _outcome(predicate, *args):
+    try:
+        return predicate(*args)
+    except ValueError as error:
+        return str(error)
+
+
+small = st.floats(-4.0, 4.0)
+point = st.tuples(small, small)
+huge = st.floats(0.5e300, 2e300) | st.floats(-2e300, -0.5e300)
+# any floats, infinite and NaN too
+random_segments = st.tuples(*[st.tuples(small | st.floats(),
+                                        small | st.floats())] * 4)
+
+
+@st.composite
+def shared_endpoint_segments(draw):
+    a, b, c = draw(point), draw(point), draw(point)
+    first = (a, b) if draw(st.booleans()) else (b, a)
+    second = (b, c) if draw(st.booleans()) else (c, b)
+    return first + second
+
+
+@st.composite
+def near_collinear_segments(draw):
+    # four points on a line, each pushed 0.5 to 3 tol off it, then maybe
+    # scaled by a power of two, which is exact
+    x0, y0 = draw(point)
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    ux, uy = math.cos(theta), math.sin(theta)
+    scale = math.ldexp(1.0, draw(st.sampled_from([0, *range(10, 35)])))
+    ends = []
+    for _ in range(4):
+        t = draw(st.floats(-3.0, 3.0))
+        off = draw(st.floats(0.5, 3.0)) * 1e-9 * draw(st.sampled_from([-1, 1]))
+        ends.append(((x0 + t * ux - off * uy) * scale,
+                     (y0 + t * uy + off * ux) * scale))
+    return tuple(ends)
+
+
+@st.composite
+def short_segments(draw):
+    # one segment about tol long, either first or second
+    a, c, d = draw(point), draw(point), draw(point)
+    length = draw(st.floats(0.0, 3e-9))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    b = (a[0] + length * math.cos(theta), a[1] + length * math.sin(theta))
+    return (a, b, c, d) if draw(st.booleans()) else (c, d, a, b)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@given(ends=random_segments | shared_endpoint_segments()
+       | near_collinear_segments() | short_segments()
+       | st.tuples(*[st.tuples(huge, huge)] * 4))
+def test_segments_overlap_matches_the_reference(ends):
+    # the same verdict, or the same ValueError, as the reference
+    assert (_outcome(segments_overlap, *ends)
+            == _outcome(_segments_overlap_reference, *ends))
+
 
 def test_screen_memory_is_bounded():
     # 2,000 random points on a path: the vertex/edge and edge/edge scans have
