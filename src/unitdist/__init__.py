@@ -18,8 +18,8 @@ from .layout import (Drawing, InfeasibleLayoutError, circular_layout,
                      circular_radii, rhombus_layout)
 from .render import render_configuration, render_drawing
 from .solver import (NoConvergence, ResidualVector, RhombusParams,
-                     SingularJacobian, SolverError, check_reflection_pair,
-                     enumerate_solutions, jacobian, newton_solve, residual)
+                     SingularJacobian, SolverError, enumerate_solutions,
+                     newton_solve, residual)
 from .verifier import (Degeneracy, FaithfulnessReport,
                        point_on_segment_interior, segments_overlap, verify)
 
@@ -29,10 +29,9 @@ __all__ = [
     "InfeasibleLayoutError", "NoConvergence", "NotBipartiteError",
     "NotFaithfulError", "ResidualVector", "RhombusParams",
     "SingularJacobian", "SolverError", "automorphism_count", "bipartition",
-    "build_point_circle", "check_reflection_pair", "circular_layout",
-    "circular_radii", "dual", "enumerate_solutions",
-    "generalized_petersen", "jacobian", "levi_drawing", "newton_solve",
-    "point_on_segment_interior", "render_configuration", "render_drawing",
-    "residual", "rhombus_layout", "segments_overlap",
+    "build_point_circle", "circular_layout", "circular_radii", "dual",
+    "enumerate_solutions", "generalized_petersen", "levi_drawing",
+    "newton_solve", "point_on_segment_interior", "render_configuration",
+    "render_drawing", "residual", "rhombus_layout", "segments_overlap",
     "validate_configuration", "verify",
 ]

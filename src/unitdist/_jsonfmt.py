@@ -38,10 +38,10 @@ def json_index(value) -> int:
 
 
 def format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         return "null"
     text = format(float(value), ".17g")
-    if "." not in text and "e" not in text and "E" not in text:
+    if "." not in text and "e" not in text:
         text += ".0"
     return text
 

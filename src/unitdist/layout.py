@@ -13,8 +13,6 @@ from dataclasses import asdict, dataclass
 from ._jsonfmt import json_number
 from .graph import Graph, generalized_petersen
 
-_REFLECTION_TOL = 1e-9
-
 
 @dataclass(frozen=True, order=True)
 class RhombusParams:
@@ -90,21 +88,6 @@ def rhombus_layout(params: RhombusParams) -> Drawing:
         (p, -q),            # 15
     )
     return Drawing(generalized_petersen(8, 3), positions)
-
-
-def check_reflection_pair(a: RhombusParams, b: RhombusParams) -> bool:
-    """True iff b is within 1e-9 of (a.k, a.h, -a.q, -a.p), per parameter.
-
-    That map is the mirror in the line y = x: rhombus_layout(k, h, -q, -p)
-    is rhombus_layout(h, k, p, q) reflected in y = x, vertex v going to
-    sigma(v), where sigma(i) = (6 - i) mod 8 on the outer ring and
-    sigma(8 + j) = 8 + (6 - j) mod 8 on the inner ring (so 13 goes to 9).
-    sigma is an automorphism of GP(8,3), so the two drawings are mirror
-    images as drawings of the graph, not only as point sets.
-    """
-    mirror = (a.k, a.h, -a.q, -a.p)
-    return all(abs(x - y) <= _REFLECTION_TOL
-               for x, y in zip(b.as_tuple(), mirror))
 
 
 def circular_radii(n: int, s: int) -> tuple[float, float]:

@@ -12,13 +12,14 @@ symmetry, to four quadratic equations:
 
 f1 makes the rhombus side span two unit edges; f2..f4 make the edges
 13-8, 13-10 and 13-5 unit length.  All remaining edges follow from the
-dihedral symmetry of the coordinate scheme.  RhombusParams and
-check_reflection_pair are defined in layout and re-exported here.
+dihedral symmetry of the coordinate scheme.  RhombusParams is defined in
+layout and re-exported here.
 
 The damped Newton iteration has two drivers over one set of residual and
 step formulas: enumerate_solutions runs many starts in lockstep on numpy
 arrays, and newton_solve runs one start on Python floats, where numpy's
-per-call cost would dominate.  Both give the same iterate, bit for bit.
+per-call cost would dominate.  Both give the same iterate, bit for bit;
+numpy serves only the sweep.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ import numpy as np
 
 from ._jsonfmt import json_number
 from . import layout
-from .layout import RhombusParams, check_reflection_pair
+from .layout import RhombusParams
 from .verifier import verify
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
 DEFAULT_SEED_COUNT = 10_000
 DEFAULT_DEDUPE_TOL = 1e-6
-DEFAULT_BOX: tuple[tuple[float, float], ...] = ((-3.0, 3.0),) * 4
+DEFAULT_BOX = (-3.0, 3.0)  # each of h, k, p, q
 
 _SINGULAR_DET = 1e-14
 _MIN_SEPARATION = 1e-6  # between two vertices of a non-degenerate root
@@ -107,16 +108,6 @@ def _max_norm(f) -> float:
 
 def residual(params: RhombusParams) -> ResidualVector:
     return ResidualVector(*_residuals(*map(float, params.as_tuple())))
-
-
-def jacobian(params: RhombusParams) -> np.ndarray:
-    """4x4 matrix of partial derivatives d f_i / d (h, k, p, q)."""
-    h, k, p, q = params.as_tuple()
-    a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
-    return np.array([[2.0 * h, 2.0 * k, 0.0, 0.0],
-                     [0.0, -2.0 * a, 2.0 * p, 2.0 * a],
-                     [2.0 * b, 0.0, 2.0 * b, 2.0 * q],
-                     [-c, d, 2.0 * c, 2.0 * d]])
 
 
 def _step_terms(h, k, p, q, f1, f2, f3, f4, maximum):
@@ -239,9 +230,8 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT,
                         rng_seed: int = 0) -> list[RhombusParams]:
     """All distinct non-degenerate roots found from seed_count random starts.
 
-    The seeds are the draw default_rng(rng_seed).uniform(lows, highs,
-    (seed_count, 4)) from DEFAULT_BOX, taken and swept in consecutive
-    chunks of _CHUNK rows.  PCG64 draws are sequential, so seed i is the
+    The seeds are the draw default_rng(rng_seed).uniform(*DEFAULT_BOX,
+    (seed_count, 4)), taken and swept in consecutive chunks of _CHUNK rows.  PCG64 draws are sequential, so seed i is the
     same for any seed_count and any chunking, and the result cannot depend
     on execution order.  The Newton sweeps (residual max-norm <=
     DEFAULT_TOL, at most DEFAULT_MAX_ITER steps) run vectorized in
@@ -286,11 +276,10 @@ def _converged_rows(seed_count: int, rng_seed: int) -> np.ndarray:
     Each chunk of starts is drawn, swept and dropped before the next, so
     only the converged rows outlive it.
     """
-    lows, highs = np.array(DEFAULT_BOX).T
     rng = np.random.default_rng(rng_seed)
     rows = []
     for done in range(0, seed_count, _CHUNK):
-        seeds = rng.uniform(lows, highs, (min(_CHUNK, seed_count - done), 4))
+        seeds = rng.uniform(*DEFAULT_BOX, (min(_CHUNK, seed_count - done), 4))
         x, status = _newton_sweep(seeds)
         rows.append(x[status == CONVERGED])
     return np.concatenate(rows)

@@ -7,12 +7,16 @@ as the eliminant, whose only nonzero real roots are q ~ 0.133029 and
 q ~ -0.857420; back-substitution at 60-digit precision gives the values
 here, rounded to float64.  The geometric constants follow by direct
 evaluation of the drawing at those roots.
+
+The helpers below are oracles that only the tests need: the Jacobian of the
+four residuals, and the y = x mirror of a root.
 """
 
+import numpy as np
 import pytest
 
 from unitdist.graph import bipartition, generalized_petersen
-from unitdist.layout import rhombus_layout
+from unitdist.layout import RhombusParams, rhombus_layout
 from unitdist.solver import enumerate_solutions
 
 KNOWN_SOLUTION = (1.133692560712488, 1.6476471642269659,
@@ -27,6 +31,26 @@ REFERENCE_6DP = (1.133693, 1.647647, 0.857420, 0.133029)
 MIN_NONEDGE_GAP = 0.06924361979757983
 MIN_NONEDGE_GAP_ORBIT = ((1, 10), (3, 10), (5, 14), (7, 14))
 MIN_VERTEX_SEPARATION = 0.26605831682212978
+
+
+def jacobian(params: RhombusParams) -> np.ndarray:
+    """4x4 matrix of partial derivatives d f_i / d (h, k, p, q)."""
+    h, k, p, q = params.as_tuple()
+    a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
+    return np.array([[2.0 * h, 2.0 * k, 0.0, 0.0],
+                     [0.0, -2.0 * a, 2.0 * p, 2.0 * a],
+                     [2.0 * b, 0.0, 2.0 * b, 2.0 * q],
+                     [-c, d, 2.0 * c, 2.0 * d]])
+
+
+def is_mirror(a: RhombusParams, b: RhombusParams) -> bool:
+    """True iff b is within 1e-9 of (a.k, a.h, -a.q, -a.p), per parameter.
+
+    That map reflects rhombus_layout(a) in the line y = x, vertex for
+    vertex; tests/test_layout.py checks so on random parameters.
+    """
+    mirror = (a.k, a.h, -a.q, -a.p)
+    return all(abs(x - y) <= 1e-9 for x, y in zip(b.as_tuple(), mirror))
 
 
 @pytest.fixture(scope="session")

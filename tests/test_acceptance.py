@@ -11,13 +11,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import MIN_NONEDGE_GAP, REFERENCE_6DP
+from conftest import MIN_NONEDGE_GAP, REFERENCE_6DP, is_mirror, jacobian
 from unitdist.cli import main
 from unitdist.configuration import build_point_circle, validate_configuration
 from unitdist.graph import automorphism_count, bipartition, generalized_petersen
 from unitdist.layout import Drawing, circular_layout, circular_radii, rhombus_layout
-from unitdist.solver import (RhombusParams, check_reflection_pair,
-                             enumerate_solutions, jacobian, residual)
+from unitdist.solver import RhombusParams, enumerate_solutions, residual
 from unitdist.verifier import verify
 
 SEED_COUNT = 10_000
@@ -57,7 +56,7 @@ def test_criterion_02_solution_count_and_reflection(sweep):
     failures = []
     if len(found) != 2:
         failures.append(f"expected 2 non-degenerate roots, got {len(found)}")
-    if len(found) == 2 and not check_reflection_pair(found[0], found[1]):
+    if len(found) == 2 and not is_mirror(found[0], found[1]):
         failures.append("the two roots are not mirror images in y = x")
     _conclude(2, "exactly two non-degenerate roots, mirror-related", failures)
 

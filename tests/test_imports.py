@@ -1,14 +1,21 @@
-"""The package's shape: module-level imports only, no import cycle, a
-verifier without numpy, and only the five settings that cli.py or a benchmark
+"""The package's shape: module-level imports only, no import cycle, numpy
+in the solver alone, exported functions that the package or a benchmark
+workload calls, and only the five settings that cli.py or a benchmark
 workload sets: main's argv, build_point_circle's centres class,
 enumerate_solutions' seed count and RNG seed, and circular_layout's
 rotation_sign, which the benchmark's GP(n,s) family sets and cli.py leaves at
 -1.  The verifier's tolerances are fixed."""
 
 import ast
+import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unitdist"
+import unitdist
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "unitdist"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
            for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -42,14 +49,26 @@ def test_no_import_inside_a_function():
     assert nested == []
 
 
-def test_verifier_imports_no_numpy():
-    imported = set()
-    for node in ast.walk(MODULES["verifier"]):
+def _absolute_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules that tree imports by absolute name."""
+    found = set()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(a.name.partition(".")[0] for a in node.names)
+            found.update(a.name.partition(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            imported.add(node.module.partition(".")[0])
-    assert "math" in imported and "numpy" not in imported
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_verifier_imports_no_numpy():
+    # numpy, the one declared runtime dependency, serves the solver alone;
+    # every other module imports only the standard library and the package
+    imported = {name: _absolute_imports(tree) for name, tree in MODULES.items()}
+    outside = {name: found - sys.stdlib_module_names - {"unitdist"}
+               for name, found in imported.items()}
+    assert {name: found for name, found in outside.items() if found} == \
+        {"solver": {"numpy"}}
+    assert "math" in imported["verifier"]
 
 
 def test_import_graph_is_acyclic():
@@ -94,3 +113,25 @@ def test_settable_values_are_the_ones_the_command_line_sets():
         "solver.enumerate_solutions(seed_count)",
         "solver.enumerate_solutions(rng_seed)",
     }
+
+
+def _callees(tree: ast.AST) -> set[str]:
+    """Names called in tree, as f(...) or as obj.f(...)."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_every_exported_function_has_a_caller():
+    # a public function comes with its caller in the package or in a
+    # benchmark workload; until it has one it stays out of __all__, as a
+    # setting no caller sets stays a constant
+    assert [name for name, count in Counter(unitdist.__all__).items()
+            if count > 1] == []
+    exported = {name: getattr(unitdist, name) for name in unitdist.__all__}
+    bench = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "perfbench").glob("*.py"))
+             if not path.name.startswith("test_")]
+    called = set().union(*map(_callees, [*MODULES.values(), *bench]))
+    assert sorted(name for name, obj in exported.items()
+                  if inspect.isfunction(obj) and name not in called) == []

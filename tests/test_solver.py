@@ -8,16 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import KNOWN_SOLUTION, REFERENCE_6DP, REFLECTED_SOLUTION
+from conftest import (KNOWN_SOLUTION, REFERENCE_6DP, REFLECTED_SOLUTION,
+                      is_mirror, jacobian)
 from unitdist import solver
 from unitdist.solver import _is_nondegenerate
 from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_BOX, SINGULAR,
                              STALLED, NoConvergence, RhombusParams,
                              SingularJacobian, SolverError,
                              _newton_scalar, _newton_step, _newton_sweep,
-                             _residual_array, check_reflection_pair,
-                             enumerate_solutions, jacobian, newton_solve,
-                             residual, solution_from_json_dict,
+                             _residual_array, enumerate_solutions,
+                             newton_solve, residual, solution_from_json_dict,
                              solution_to_json_dict)
 
 
@@ -343,7 +343,7 @@ def _assert_scalar_driver_matches_the_reference(starts):
 
 
 def test_scalar_driver_matches_the_reference_on_box_starts():
-    lows, highs = np.array(DEFAULT_BOX).T
+    lows, highs = np.full(4, DEFAULT_BOX[0]), np.full(4, DEFAULT_BOX[1])
     starts = np.random.default_rng(0).uniform(lows, highs, (10_000, 4))
     _assert_scalar_driver_matches_the_reference(starts.tolist())
 
@@ -404,7 +404,7 @@ class TestSeedStream:
 
     @pytest.mark.parametrize("rng_seed", [0, 7])
     def test_chunked_draws_concatenate_to_the_stream(self, monkeypatch, rng_seed):
-        lows, highs = np.array(DEFAULT_BOX).T
+        lows, highs = np.full(4, DEFAULT_BOX[0]), np.full(4, DEFAULT_BOX[1])
         rng = np.random.default_rng(rng_seed)
         chunks = [rng.uniform(lows, highs, (n, 4)) for n in (120, 180)]
         assert np.array_equal(np.concatenate(chunks),
@@ -412,7 +412,7 @@ class TestSeedStream:
 
     @pytest.mark.parametrize("rng_seed", [0, 7])
     def test_small_chunks_concatenate_to_one_draw(self, monkeypatch, rng_seed):
-        lows, highs = np.array(DEFAULT_BOX).T
+        lows, highs = np.full(4, DEFAULT_BOX[0]), np.full(4, DEFAULT_BOX[1])
         one = np.random.default_rng(rng_seed).uniform(lows, highs, (300, 4))
         monkeypatch.setattr(solver, "_CHUNK", 128)
         assert np.array_equal(one, self._starts(monkeypatch, 300, rng_seed))
@@ -483,7 +483,7 @@ class TestEnumerateSolutions:
 
 def _greedy_dedupe_reference(seed_count, rng_seed, dedupe_tol):
     """enumerate_solutions with the row-by-row greedy dedupe loop."""
-    lows, highs = np.array(DEFAULT_BOX).T
+    lows, highs = np.full(4, DEFAULT_BOX[0]), np.full(4, DEFAULT_BOX[1])
     seeds = np.random.default_rng(rng_seed).uniform(lows, highs, (seed_count, 4))
     x, status = _newton_sweep(seeds)
     roots = x[status == CONVERGED]
@@ -535,33 +535,15 @@ def test_enumerate_memory_is_bounded():
 
 
 class TestCheckReflectionPair:
+    """The two roots are each other's mirror in y = x (conftest.is_mirror)."""
+
     def test_true_for_the_two_roots(self, solutions):
-        assert check_reflection_pair(solutions[0], solutions[1])
-        assert check_reflection_pair(solutions[1], solutions[0])
+        assert is_mirror(solutions[0], solutions[1])
+        assert is_mirror(solutions[1], solutions[0])
 
     def test_false_for_solution_with_itself(self, solutions):
         # h != k, so the drawing is not its own mirror image in y = x
-        assert not check_reflection_pair(solutions[0], solutions[0])
-
-    def test_false_for_unrelated_parameters(self, solutions):
-        other = RhombusParams(1.2, 1.6, 0.8, 0.1)
-        assert not check_reflection_pair(solutions[0], other)
-
-    def test_tolerance_is_1e_9_per_parameter(self, solutions):
-        a, b = solutions
-        near = RhombusParams(*(x + 0.5e-9 for x in b.as_tuple()))
-        assert check_reflection_pair(a, near)
-        for i in range(4):
-            off = list(b.as_tuple())
-            off[i] += 2e-9
-            assert not check_reflection_pair(a, RhombusParams(*off))
-
-    def test_true_for_mirrors_with_coincident_vertices(self):
-        # each drawing has six vertices at the origin (two outer ones and
-        # the inner 9, 11, 13, 15), and each is the other reflected in y = x
-        a, b = RhombusParams(2.0, 0.0, 0.0, 0.0), RhombusParams(0.0, 2.0, 0.0, 0.0)
-        assert check_reflection_pair(a, b)
-        assert check_reflection_pair(b, a)
+        assert not is_mirror(solutions[0], solutions[0])
 
 
 class TestSerialization:
