@@ -18,16 +18,15 @@ layout and re-exported here.
 The damped Newton iteration has two drivers over one set of residual and
 step formulas: enumerate_solutions runs many starts in lockstep on numpy
 arrays, and newton_solve runs one start on Python floats, where numpy's
-per-call cost would dominate.  Both give the same iterate, bit for bit;
-numpy serves only the sweep.
+per-call cost would dominate.  Both give the same iterate, bit for bit.
+numpy is imported when a sweep function first runs, so the float driver
+and the rest of the package run without it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from ._jsonfmt import json_number
 from . import layout
@@ -42,11 +41,8 @@ DEFAULT_BOX = (-3.0, 3.0)  # each of h, k, p, q
 
 _SINGULAR_DET = 1e-14
 _MIN_SEPARATION = 1e-6  # between two vertices of a non-degenerate root
-# the line search tries damping 1, 1/2, ..., 2**-20 in order; the sweep
-# tries the full step, which 70% of its column passes take, then all the
-# rest at once: 85% of the columns that miss the full step miss 1/2 ... 1/16
+# the line search tries damping 1, 1/2, ..., 2**-20 in order
 _DAMPINGS = tuple(math.ldexp(1.0, -i) for i in range(21))
-_BACKTRACK = np.array(_DAMPINGS[1:])
 # memory bounds, neither of which changes a result: enumerate_solutions
 # draws and sweeps at most _CHUNK starts at a time, and _newton_sweep
 # evaluates at most _BLOCK columns, or column x damping trials, at a time
@@ -95,6 +91,7 @@ def _residuals(h, k, p, q):
 
 def _residual_array(x: np.ndarray) -> np.ndarray:
     """Residuals for (h, k, p, q) stacked along the first axis."""
+    import numpy as np
     # np.array costs less per call than np.stack on these short lists
     return np.array(_residuals(*x))
 
@@ -160,6 +157,7 @@ def _newton_step(x: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Singular columns (see _step_terms) get a zero step.  Returns the steps,
     shape (4, m), and the singular mask.
     """
+    import numpy as np
     numerators, det, singular = _step_terms(*x, *f, np.maximum)
     numerators = np.array(numerators)
     step = np.divide(numerators, det, out=np.zeros_like(numerators),
@@ -243,7 +241,11 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT,
     A root is non-degenerate when h > 0, k > 0 and verify's
     min_vertex_separation of its rhombus drawing is at least 1e-6.  An
     empty list just means no seed converged; it is not an error.
+
+    numpy is imported on the first call, here and in the sweep functions
+    it calls, so only a run that sweeps pays for it.
     """
+    import numpy as np
     if seed_count < 1:
         raise ValueError("seed_count must be at least 1")
     roots = _converged_rows(seed_count, rng_seed)
@@ -276,6 +278,7 @@ def _converged_rows(seed_count: int, rng_seed: int) -> np.ndarray:
     Each chunk of starts is drawn, swept and dropped before the next, so
     only the converged rows outlive it.
     """
+    import numpy as np
     rng = np.random.default_rng(rng_seed)
     rows = []
     for done in range(0, seed_count, _CHUNK):
@@ -285,9 +288,6 @@ def _converged_rows(seed_count: int, rng_seed: int) -> np.ndarray:
     return np.concatenate(rows)
 
 
-# a huge or non-finite start overflows to inf or NaN, which no comparison
-# accepts as progress, so numpy's warnings about it are noise
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton_sweep(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on every row of seeds, in lockstep.
 
@@ -305,29 +305,33 @@ def _newton_sweep(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are independent, so the iterates do not depend on _BLOCK.
     Returns the final iterates, shape (n, 4), and the per-seed statuses.
     """
-    x = np.array(seeds, dtype=float)
-    f = _residual_array(x.T)
-    fnorm = np.abs(f).max(axis=0)
-    status = np.where(fnorm <= DEFAULT_TOL, CONVERGED, BUDGET)
-    live = np.flatnonzero(status == BUDGET)
-    # the active seeds: their rows of x, residuals and residual norms
-    xs, fs, fn = x[live].T.copy(), f[:, live], fnorm[live]
+    import numpy as np
+    # a huge or non-finite start overflows to inf or NaN, which no
+    # comparison accepts as progress, so numpy's warnings about it are noise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.array(seeds, dtype=float)
+        f = _residual_array(x.T)
+        fnorm = np.abs(f).max(axis=0)
+        status = np.where(fnorm <= DEFAULT_TOL, CONVERGED, BUDGET)
+        live = np.flatnonzero(status == BUDGET)
+        # the active seeds: their rows of x, residuals and residual norms
+        xs, fs, fn = x[live].T.copy(), f[:, live], fnorm[live]
 
-    for _ in range(DEFAULT_MAX_ITER):
-        if live.size == 0:
-            break
-        code = np.empty_like(live)
-        for lo in range(0, live.size, _BLOCK):
-            cols = slice(lo, lo + _BLOCK)
-            code[cols] = _newton_pass(xs[:, cols], fs[:, cols], fn[cols])
-        stop = code != BUDGET
-        if stop.any():
-            x[live[stop]] = xs[:, stop].T
-            status[live[stop]] = code[stop]
-            keep = ~stop
-            live, xs, fs, fn = live[keep], xs[:, keep], fs[:, keep], fn[keep]
+        for _ in range(DEFAULT_MAX_ITER):
+            if live.size == 0:
+                break
+            code = np.empty_like(live)
+            for lo in range(0, live.size, _BLOCK):
+                cols = slice(lo, lo + _BLOCK)
+                code[cols] = _newton_pass(xs[:, cols], fs[:, cols], fn[cols])
+            stop = code != BUDGET
+            if stop.any():
+                x[live[stop]] = xs[:, stop].T
+                status[live[stop]] = code[stop]
+                keep = ~stop
+                live, xs, fs, fn = live[keep], xs[:, keep], fs[:, keep], fn[keep]
 
-    x[live] = xs.T
+        x[live] = xs.T
     return x, status
 
 
@@ -336,11 +340,15 @@ def _newton_pass(x: np.ndarray, f: np.ndarray, fn: np.ndarray) -> np.ndarray:
 
     x and f, shape (4, m), and fn, shape (m,), are the iterates, residuals
     and residual norms.  Each column tries the full step; a column it does
-    not improve tries every damping of _BACKTRACK and takes the first one
+    not improve tries every smaller damping and takes the first one
     that lowers its norm.  Those trials run in windows of at most _BLOCK
     column x damping trials.  Returns CONVERGED (norm <= DEFAULT_TOL),
     SINGULAR, STALLED or, for a column still iterating, BUDGET.
     """
+    import numpy as np
+    # the full step, which 70% of column passes take, then all the rest at
+    # once: 85% of the columns that miss the full step miss 1/2 ... 1/16
+    backtrack = np.array(_DAMPINGS[1:])
     step, singular = _newton_step(x, f)
     trial = x + step
     f_trial = _residual_array(trial)
@@ -351,10 +359,10 @@ def _newton_pass(x: np.ndarray, f: np.ndarray, fn: np.ndarray) -> np.ndarray:
     np.copyto(fn, fn_trial, where=hit)
     stalled = ~hit  # columns no damping has improved yet
     missed = np.flatnonzero(stalled)
-    width = max(_BLOCK // _BACKTRACK.size, 1)
+    width = max(_BLOCK // backtrack.size, 1)
     for lo in range(0, missed.size, width):
         todo = missed[lo:lo + width]
-        trial = x[:, todo, None] + _BACKTRACK * step[:, todo, None]
+        trial = x[:, todo, None] + backtrack * step[:, todo, None]
         f_trial = _residual_array(trial)
         fn_trial = np.abs(f_trial).max(axis=0)
         better = fn_trial < fn[todo, None]

@@ -9,12 +9,19 @@ here, rounded to float64.  The geometric constants follow by direct
 evaluation of the drawing at those roots.
 
 The helpers below are oracles that only the tests need: the Jacobian of the
-four residuals, and the y = x mirror of a root.
+four residuals, and the y = x mirror of a root; and a fresh interpreter, for
+what a test process that has imported numpy already cannot show.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import unitdist
 from unitdist.graph import bipartition, generalized_petersen
 from unitdist.layout import RhombusParams, rhombus_layout
 from unitdist.solver import enumerate_solutions
@@ -51,6 +58,15 @@ def is_mirror(a: RhombusParams, b: RhombusParams) -> bool:
     """
     mirror = (a.k, a.h, -a.q, -a.p)
     return all(abs(x - y) <= 1e-9 for x, y in zip(b.as_tuple(), mirror))
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """python -c code args, importing the unitdist that the tests import."""
+    src = str(Path(unitdist.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import run_python
 from unitdist import cli
 from unitdist.cli import main
 from unitdist.configuration import ConfigurationCheck
@@ -231,6 +232,40 @@ class TestAll:
         assert "configuration axioms violated: forced" in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("config_centers_*.svg"))
+
+
+def test_stages_after_solve_run_without_numpy(pipeline_dir, tmp_path):
+    # None in sys.modules makes `import numpy` raise ImportError, so a stage
+    # that loaded numpy would fail here
+    a = pipeline_dir
+    stages = {
+        "layout": (["layout", "--solutions", f"{a}/solutions.json"],
+                   ["drawing.json", "circular.json"]),
+        "verify": (["verify", f"{a}/drawing.json"], ["drawing_report.json"]),
+        "config": (["config", f"{a}/drawing.json"],
+                   ["config_centers_a.json", "config_centers_b.json"]),
+        "render": (["render", "--drawing", f"{a}/drawing.json",
+                    "--drawing", f"{a}/circular.json",
+                    "--configuration", f"{a}/config_centers_a.json",
+                    "--configuration", f"{a}/config_centers_b.json"],
+                   ["drawing.svg", "circular.svg", "config_centers_a.svg",
+                    "config_centers_b.svg"]),
+    }
+    argvs = [argv + ["--out-dir", str(tmp_path / name)]
+             for name, (argv, _) in stages.items()]
+    probe = ("import json, sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from unitdist.cli import main\n"
+             "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n")
+    done = run_python(probe, json.dumps(argvs))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, 0, 0, 0]
+    for name, (_, written) in stages.items():
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == \
+            sorted(written)
+        for file in written:
+            assert (tmp_path / name / file).read_bytes() == \
+                (a / file).read_bytes(), file
 
 
 class TestUsageErrors:

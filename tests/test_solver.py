@@ -463,13 +463,6 @@ class TestEnumerateSolutions:
         with pytest.raises(ValueError):
             enumerate_solutions(seed_count=0)
 
-    def test_reflection_relation_between_the_two_roots(self, solutions):
-        a, b = solutions
-        assert abs(b.h - a.k) < 1e-9
-        assert abs(b.k - a.h) < 1e-9
-        assert abs(b.p + a.q) < 1e-9
-        assert abs(b.q + a.p) < 1e-9
-
     @pytest.mark.parametrize("h, kept", [(1.9e-6, False), (2.1e-6, True)])
     def test_filter_keeps_roots_with_vertices_1e_6_apart(self, h, kept):
         # vertices 1 and 8 are h/2 apart; the drawing also has vertices on
@@ -534,7 +527,7 @@ def test_enumerate_memory_is_bounded():
     assert peak < 10e6
 
 
-class TestCheckReflectionPair:
+class TestMirrorRoots:
     """The two roots are each other's mirror in y = x (conftest.is_mirror)."""
 
     def test_true_for_the_two_roots(self, solutions):
