@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import itemgetter
 
 from ._jsonfmt import json_index
 
@@ -148,8 +147,8 @@ def automorphism_count(g: Graph) -> int:
 
     Let G_i be the automorphisms fixing order[:i] pointwise.  Then
     |Aut| = |G_0| is the product over i of the length of order[i]'s orbit
-    under G_i.  The levels are walked from i = n-1 down to 0, with
-    order[:i] fixed.  Every automorphism found on a deeper level fixes
+    under G_i.  The levels are walked from i = b-1 down to 0 (b below),
+    with order[:i] fixed.  Every automorphism found on a deeper level fixes
     order[:i], so it lies in G_i; the orbit of order[i] starts as its
     closure under these generators.  Each candidate image w of order[i]
     outside that orbit gets one search for a single automorphism of G_i
@@ -159,6 +158,28 @@ def automorphism_count(g: Graph) -> int:
     orbit passes the candidate filter, and is either reached by closure or
     found by a search.
 
+    The base length b is the length of the shortest prefix of order whose
+    distance vectors (-1 where unreachable) tell all vertices apart: a
+    resolving set (Harary and Melter, 1976).  It is found by refining
+    vertex classes by one base vertex's distance row at a time, in O(V)
+    per row.  An automorphism s that fixes order[:b] pointwise fixes every
+    vertex v: dist(order[j], s(v)) = dist(s(order[j]), s(v)) =
+    dist(order[j], v) for every j < b, so s(v) has v's distance vector,
+    which no other vertex has.  So G_b is trivial, the levels i >= b have
+    orbit length 1 and are never visited, and a search that has mapped
+    order[:b] by f has at most one way to go on.  An automorphism s that
+    extends f maps each later vertex v, in BFS order, to a neighbour of
+    the image of v's BFS parent (to any vertex if v is a component root),
+    and dist(f(order[j]), s(v)) = dist(order[j], v) for every j < b.  The
+    images f(order[:b]) resolve the graph as order[:b] does, since s
+    carries distances over, so s(v) is the only vertex with these
+    distances.  The search therefore maps order[b:] in one pass, each
+    vertex to the unused vertex at its distances among the candidates
+    just named, and backtracks at the first vertex that has none.  A
+    complete map is a bijection; it is accepted only if it preserves
+    every edge, which makes it an automorphism.  Edges within the base
+    need no test: f preserves distances, so it maps them onto edges.
+
     A component root (anchor None) has no mapped neighbour to narrow its
     candidates, and in a regular graph such as GP(n, s) the degree passes
     every vertex.  So at a root level a candidate is searched only if its
@@ -167,33 +188,56 @@ def automorphism_count(g: Graph) -> int:
     shortest paths, so a different profile proves w is outside the orbit.
     It rejects the inner vertices of GP(18, 5), which share the outer
     ones' degree and sorted distances, without a search.  A profile is
-    counted over the vertex's row of the distance table in
-    O(V log V + E), only for order[i] and for a candidate that would
-    otherwise be searched, and kept for the rest of the call.
+    counted over the vertex's distance row in O(V log V + E), only for
+    order[i] and for a candidate that would otherwise be searched, and
+    kept for the rest of the call.
 
-    Costs an O(V^2) distance table, filled by one BFS per vertex in
-    O(V * E), and about (generators + refuted candidates) * V^2 for the
-    searches, where enumerating the group would cost |Aut| * V^2.  There
-    are at most log2 |Aut| generators, since each one at least doubles the
-    group they generate.  The search keeps an explicit stack of candidate
+    Costs a distance row, one O(V + E) BFS, for each base vertex, each
+    vertex that becomes the image of one and each profile, computed when
+    first needed and kept for the call, with O(V) per base row to find b.
+    A search pays for the distance-filtered candidates at depths i..b-1,
+    then, per completion, O(b) for each unused vertex it tries (at most
+    the largest degree D per vertex, so O(V * D * b)) and O(E) for the
+    edge test.
+    There are at most log2 |Aut| generators, since each one at least
+    doubles the group they generate; enumerating the group would cost
+    |Aut| searches.  The search keeps an explicit stack of candidate
     iterators, so its depth is not bounded by Python's recursion limit.
     """
     n = g.n_vertices
-    if n == 0:
+    if n < 2:
         return 1
     adj = g.adjacency
     deg = [len(a) for a in adj]
 
-    dist: list[list[int]] = []
+    rows: list[list[int] | None] = [None] * n   # distance rows, on demand
+
+    def row(v: int) -> list[int]:
+        r = rows[v]
+        if r is None:
+            r = rows[v] = _bfs(adj, v)[0]
+        return r
+
     order: list[int] = []
     placed = [False] * n
     for v in range(n):
-        row, reached = _bfs(adj, v)
-        dist.append(row)
         if not placed[v]:           # v is the smallest vertex of a new component
+            rows[v], reached = _bfs(adj, v)
             order.extend(reached)
             for u in reached:
                 placed[u] = True
+
+    # b: the shortest prefix of order that resolves the graph.  classes[v]
+    # numbers v's distance vector to order[:b] among all vertices'.
+    b, n_classes, classes = 0, 1, [0] * n
+    while n_classes < n:
+        pairs = list(zip(classes, row(order[b])))
+        ids = dict(zip(dict.fromkeys(pairs), range(n)))
+        classes = list(map(ids.__getitem__, pairs))
+        n_classes = len(ids)
+        b += 1
+    keys = list(zip(*map(row, order[:b])))      # keys[v]: v's distances to the base
+
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -204,23 +248,52 @@ def automorphism_count(g: Graph) -> int:
         j = min((pos[u] for u in adj[v]), default=i)
         anchor.append(j if j < i else None)
 
-    # mapped[i] is the image of order[i], -1 while unmapped.  Between
-    # searches the levels below the current one map to themselves.
-    mapped = list(order)
-    used = [True] * n
+    # mapped[i] is the image of order[i], -1 while unmapped, and
+    # image_rows[i] its distance row once mapped.  Between searches the
+    # levels below the current one map to themselves.
+    mapped = order[:b]
+    image_rows = list(map(row, mapped))
+    used = [False] * n
+    for v in mapped:
+        used[v] = True
+    arcs = g.edge_set | {(v, u) for u, v in g.edges}
+    # a distance-preserving map keeps the edges within the base
+    outside = [(u, v) for u, v in g.edges if pos[u] >= b or pos[v] >= b]
+    tails, heads = [u for u, _ in outside], [v for _, v in outside]
 
-    def candidates(i: int):
-        v = order[i]
-        pool = range(n) if anchor[i] is None else adj[mapped[anchor[i]]]
-        if i == 0:
-            return (w for w in pool if deg[w] == deg[v])
-        # dist(u, v) == dist(f(u), w) for every mapped u, compared in C.
-        # Distinct vertices are at nonzero distance, so this alone keeps the
-        # map injective; `used` only rejects taken images more cheaply.
-        want = itemgetter(*order[:i])(dist[v])
-        got = itemgetter(*mapped[:i])
-        return (w for w in pool
-                if not used[w] and deg[w] == deg[v] and got(dist[w]) == want)
+    def candidates(d: int, i: int):
+        """The images of order[d] that keep the map distance-preserving,
+        while mapped[:i] maps to itself and the search maps mapped[i:d]."""
+        v = order[d]
+        pool = range(n) if anchor[d] is None else adj[mapped[anchor[d]]]
+        # dist(u, v) == dist(f(u), w) for every mapped u: read off w's key
+        # for the fixed u, off the image rows for the others.  Distinct
+        # vertices are at nonzero distance, so this alone keeps the map
+        # injective; `used` only rejects taken images more cheaply.
+        fixed, want = keys[v][:i], keys[v][i:d]
+        images = image_rows[i:d]
+        return (w for w in pool if not used[w] and deg[w] == deg[v]
+                and keys[w][:i] == fixed and tuple([r[w] for r in images]) == want)
+
+    def completion() -> list[int] | None:
+        """The automorphism extending mapped, as perm[vertex] = image;
+        None if there is none."""
+        image = mapped + [-1] * (n - b)         # by position in order
+        taken = used[:]
+        for k in range(b, n):
+            key = keys[order[k]]
+            a = anchor[k]
+            for w in range(n) if a is None else adj[image[a]]:
+                if not taken[w] and tuple([r[w] for r in image_rows]) == key:
+                    break
+            else:
+                return None
+            image[k] = w
+            taken[w] = True
+        perm = list(map(image.__getitem__, pos))
+        if arcs.issuperset(zip(map(perm.__getitem__, tails), map(perm.__getitem__, heads))):
+            return perm
+        return None
 
     def extension(i: int, w: int) -> list[int] | None:
         """The first automorphism found that extends mapped[:i] with
@@ -234,30 +307,29 @@ def automorphism_count(g: Graph) -> int:
             u = next(stack[-1], None)
             if u is None:
                 stack.pop()
-            elif d < n - 1:
-                mapped[d] = u
-                used[u] = True
-                stack.append(candidates(d + 1))
-            else:                   # a leaf: restore the fixed prefix state
-                perm = [0] * n
-                for v, image in zip(order, mapped[:d] + [u]):
-                    perm[v] = image
-                for image in mapped[i:d]:
+                continue
+            mapped[d] = u
+            image_rows[d] = row(u)
+            used[u] = True
+            if d < b - 1:
+                stack.append(candidates(d + 1, i))
+            elif (perm := completion()) is not None:
+                for image in mapped[i:]:    # restore the fixed prefix state
                     used[image] = False
-                mapped[i:d] = [-1] * (d - i)
+                mapped[i:] = [-1] * (b - i)
                 return perm
         return None
 
-    profile = cache(lambda v: _path_profile(adj, dist[v]))  # built on first use only
+    profile = cache(lambda v: _path_profile(adj, row(v)))  # built on first use only
 
     count = 1
     generators: list[list[int]] = []
-    for i in range(n - 1, -1, -1):
+    for i in range(b - 1, -1, -1):
         v = order[i]
         mapped[i] = -1
         used[v] = False
         orbit = {v}                 # every generator so far fixes v
-        for w in candidates(i):
+        for w in candidates(i, i):
             if w in orbit or anchor[i] is None and profile(w) != profile(v):
                 continue
             if (perm := extension(i, w)) is not None:

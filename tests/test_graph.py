@@ -4,11 +4,13 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unitdist import graph
 from unitdist.graph import (Graph, NotBipartiteError, _bfs, _path_profile,
                             automorphism_count, bipartition,
                             generalized_petersen)
@@ -287,6 +289,19 @@ class TestAutomorphismCount:
         g = Graph(1200, tuple((i, i + 1) for i in range(1199)))
         assert automorphism_count(g) == 2
 
+    def test_long_base_needs_no_recursion(self):
+        # an endpoint resolves a path, so the search above stays shallow;
+        # the star K(1,150) needs 149 leaves in its base, and each search
+        # from the first level goes 150 levels deep
+        g = Graph(151, tuple((0, leaf) for leaf in range(1, 151)))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            count = automorphism_count(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert count == math.factorial(150)
+
     @pytest.mark.parametrize("n,s", [(5, 2), (8, 3), (10, 3), (12, 5)])
     def test_against_networkx_vf2(self, n, s):
         g = generalized_petersen(n, s)
@@ -316,6 +331,36 @@ class TestAutomorphismCount:
 
     def test_gp200_1(self):
         assert automorphism_count(generalized_petersen(200, 1)) == 800
+
+    def test_gp400_1_is_a_prism(self):
+        assert automorphism_count(generalized_petersen(400, 1)) == 4 * 400
+
+    # graphs whose base is long (b close to V) or empty
+    @pytest.mark.parametrize("g,count", [
+        (Graph(1, ()), 1),
+        (Graph(9, ()), math.factorial(9)),
+        (Graph(8, tuple((0, leaf) for leaf in range(1, 8))), math.factorial(7)),
+        (Graph(6, tuple((u, v) for u in range(3) for v in range(3, 6))), 72),
+        (Graph(6, tuple(itertools.combinations(range(6), 2))), 720),
+        (Graph(17, generalized_petersen(8, 3).edges), 96),
+    ], ids=["one_vertex", "edgeless_9", "star_1_7", "k3_3", "k6",
+            "gp8_3_plus_isolated_vertex"])
+    def test_exact_count(self, g, count):
+        assert automorphism_count(g) == count
+
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_distance_rows_are_computed_on_demand(self, monkeypatch, n):
+        # a prism is resolved by a few vertices near the root, so the count
+        # needs a handful of BFS rows (7 on both), not one per vertex
+        calls = []
+
+        def counting_bfs(adj, source):
+            calls.append(source)
+            return _bfs(adj, source)
+
+        monkeypatch.setattr(graph, "_bfs", counting_bfs)
+        assert automorphism_count(generalized_petersen(n, 1)) == 4 * n
+        assert len(calls) <= 12
 
     def test_identity_always_counted(self):
         g = Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
