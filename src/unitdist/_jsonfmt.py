@@ -1,9 +1,10 @@
 """Deterministic JSON emission with fixed 17-significant-digit floats.
 
-The stdlib json module formats floats with repr(), whose digit count varies
-by value.  Artifacts here must be byte-identical across runs, so floats are
-always written with 17 significant digits (enough for an exact float64
-round trip).  Non-finite floats become null.
+dumps(obj) is json.dumps(obj, indent=2) followed by a newline, except for
+floats.  The stdlib json module formats floats with repr(), whose digit
+count varies by value.  Artifacts here must be byte-identical across runs,
+so floats are always written with 17 significant digits (enough for an
+exact float64 round trip).  Non-finite floats become null.
 
 json_number and json_index check every number read from an artifact, in the
 solutions reader and the Graph, Drawing and IncidenceStructure constructors:
@@ -15,8 +16,6 @@ from __future__ import annotations
 import json
 import math
 from operator import index
-
-_INDENT = 2
 
 
 def json_number(value) -> float:
@@ -47,47 +46,36 @@ def format_float(value: float) -> str:
 
 
 def dumps(obj) -> str:
-    """Serialize dicts/lists/scalars; dict keys keep insertion order."""
-    pieces: list[str] = []
-    _emit(obj, 0, pieces)
-    pieces.append("\n")
-    return "".join(pieces)
+    """Serialize dicts, lists, tuples and scalars, keeping dict key order."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _emit(obj, level: int, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+def _emit(obj, newline: str, out: list[str]) -> None:
+    """Append obj's JSON text to out.  newline is a line break plus the
+    indent of obj's first line, which its closing bracket shares."""
+    if isinstance(obj, float):
         out.append(format_float(obj))
-    elif isinstance(obj, str):
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        out.append(str(obj))
+    elif obj is None or isinstance(obj, (bool, str)):
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        pad = " " * (_INDENT * (level + 1))
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
-            out.append(pad + json.dumps(key) + ": ")
-            _emit(value, level + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(" " * (_INDENT * level) + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        pad = " " * (_INDENT * (level + 1))
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad)
-            _emit(value, level + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(" " * (_INDENT * level) + "]")
+    elif isinstance(obj, (dict, list, tuple)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        inner = newline + "  "
+        separator = brackets[0] + inner
+        for item in obj:
+            out.append(separator)
+            if brackets == "{}":    # item is a key
+                if not isinstance(item, str):
+                    raise TypeError(f"JSON object keys must be str, got {type(item).__name__}")
+                out.append(json.dumps(item) + ": ")
+                item = obj[item]
+            _emit(item, inner, out)
+            separator = "," + inner
+        # the first item opened the bracket; an empty one is written whole
+        out.append(newline + brackets[1] if obj else brackets)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")

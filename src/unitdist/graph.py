@@ -205,8 +205,6 @@ def automorphism_count(g: Graph) -> int:
     iterators, so its depth is not bounded by Python's recursion limit.
     """
     n = g.n_vertices
-    if n < 2:
-        return 1
     adj = g.adjacency
     deg = [len(a) for a in adj]
 
@@ -219,13 +217,13 @@ def automorphism_count(g: Graph) -> int:
         return r
 
     order: list[int] = []
-    placed = [False] * n
+    pos = [-1] * n                  # v's place in order; -1 until it is placed
     for v in range(n):
-        if not placed[v]:           # v is the smallest vertex of a new component
+        if pos[v] < 0:              # v is the smallest vertex of a new component
             rows[v], reached = _bfs(adj, v)
-            order.extend(reached)
             for u in reached:
-                placed[u] = True
+                pos[u] = len(order)
+                order.append(u)
 
     # b: the shortest prefix of order that resolves the graph.  classes[v]
     # numbers v's distance vector to order[:b] among all vertices'.
@@ -238,9 +236,6 @@ def automorphism_count(g: Graph) -> int:
         b += 1
     keys = list(zip(*map(row, order[:b])))      # keys[v]: v's distances to the base
 
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
     # anchor[i]: the position of order[i]'s BFS parent, its neighbour mapped
     # first; None for a component root, which may map anywhere.
     anchor: list[int | None] = []
@@ -279,6 +274,7 @@ def automorphism_count(g: Graph) -> int:
         """The automorphism extending mapped, as perm[vertex] = image;
         None if there is none."""
         image = mapped + [-1] * (n - b)         # by position in order
+        # the key test alone keeps images distinct; taken is a cheaper first test
         taken = used[:]
         for k in range(b, n):
             key = keys[order[k]]

@@ -229,14 +229,14 @@ def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT,
     """All distinct non-degenerate roots found from seed_count random starts.
 
     The seeds are the draw default_rng(rng_seed).uniform(*DEFAULT_BOX,
-    (seed_count, 4)), taken and swept in consecutive chunks of _CHUNK rows.  PCG64 draws are sequential, so seed i is the
-    same for any seed_count and any chunking, and the result cannot depend
-    on execution order.  The Newton sweeps (residual max-norm <=
-    DEFAULT_TOL, at most DEFAULT_MAX_ITER steps) run vectorized in
-    lockstep.  Converged iterates are deduplicated (max-norm distance <
-    DEFAULT_DEDUPE_TOL), filtered to non-degenerate roots, and returned
-    sorted lexicographically by (h, k, p, q).  Memory is O(_CHUNK +
-    converged rows).
+    (seed_count, 4)), taken and swept in consecutive chunks of _CHUNK
+    rows.  PCG64 draws are sequential, so seed i is the same for any
+    seed_count and any chunking, and the result cannot depend on execution
+    order.  The Newton sweeps (residual max-norm <= DEFAULT_TOL, at most
+    DEFAULT_MAX_ITER steps) run vectorized in lockstep.  Converged iterates
+    are deduplicated (max-norm distance < DEFAULT_DEDUPE_TOL), filtered to
+    non-degenerate roots, and returned sorted lexicographically by
+    (h, k, p, q).  Memory is O(_CHUNK + converged rows).
 
     A root is non-degenerate when h > 0, k > 0 and verify's
     min_vertex_separation of its rhombus drawing is at least 1e-6.  An

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import run_python
 from unitdist import cli
+from unitdist._jsonfmt import dumps
 from unitdist.cli import main
 from unitdist.configuration import ConfigurationCheck
 from unitdist.layout import RhombusParams
@@ -204,6 +205,14 @@ class TestAll:
         for name in ALL_ARTIFACTS:
             assert (tmp_path / name).read_bytes() == \
                 (pipeline_dir / name).read_bytes(), name
+
+    def test_json_artifacts_are_dumps_text(self, pipeline_dir):
+        # each JSON file is dumps' text of its own content, byte for byte
+        names = [name for name in ALL_ARTIFACTS if name.endswith(".json")]
+        assert len(names) == 7
+        for name in names:
+            text = (pipeline_dir / name).read_text()
+            assert dumps(json.loads(text)) == text, name
 
     def test_unfaithful_drawing_stops_before_config(self, tmp_path, capsys,
                                                     monkeypatch):

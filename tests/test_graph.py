@@ -337,13 +337,14 @@ class TestAutomorphismCount:
 
     # graphs whose base is long (b close to V) or empty
     @pytest.mark.parametrize("g,count", [
+        (Graph(0, ()), 1),
         (Graph(1, ()), 1),
         (Graph(9, ()), math.factorial(9)),
         (Graph(8, tuple((0, leaf) for leaf in range(1, 8))), math.factorial(7)),
         (Graph(6, tuple((u, v) for u in range(3) for v in range(3, 6))), 72),
         (Graph(6, tuple(itertools.combinations(range(6), 2))), 720),
         (Graph(17, generalized_petersen(8, 3).edges), 96),
-    ], ids=["one_vertex", "edgeless_9", "star_1_7", "k3_3", "k6",
+    ], ids=["no_vertex", "one_vertex", "edgeless_9", "star_1_7", "k3_3", "k6",
             "gp8_3_plus_isolated_vertex"])
     def test_exact_count(self, g, count):
         assert automorphism_count(g) == count

@@ -1,7 +1,7 @@
-"""Property tests: artifact JSON round trips, mutated artifacts at the CLI,
-configuration axioms against an incidence-matrix oracle, Levi drawings
-against the drawings they came from, and verify against its scalar pair
-scans.
+"""Property tests: dumps against the stdlib's json.dumps, artifact JSON
+round trips, mutated artifacts at the CLI, configuration axioms against an
+incidence-matrix oracle, Levi drawings against the drawings they came from,
+and verify against its scalar pair scans.
 
 Examples are derandomized, so every run checks the same 100 cases per test
 (400 for verify against its scalar scans).
@@ -157,10 +157,28 @@ def test_drawing_json_round_trip(drawing):
 
 def test_dumps_edge_cases():
     assert dumps({}) == "{}\n"
+    assert dumps({"a": [], "b": {}}) == '{\n  "a": [],\n  "b": {}\n}\n'
     with pytest.raises(TypeError, match="keys must be str, got int"):
         dumps({1: 0.5})
     with pytest.raises(TypeError, match="cannot serialize set"):
         dumps({"points": {1.0}})
+
+
+# float-free JSON values: ints of any size, any string, containers nested
+# to any depth, empty ones included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers() | st.integers(-10 ** 400, 10 ** 400),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=20)
+
+
+@PROPERTY
+@given(value=json_values)
+@example(value={"é": [(), {}, [[{}]]], "big": -10 ** 399, "t": (True, None)})
+def test_dumps_is_stdlib_json_without_floats(value):
+    assert dumps(value) == json.dumps(value, indent=2) + "\n"
 
 
 @PROPERTY
