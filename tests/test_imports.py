@@ -1,21 +1,25 @@
 """The package's shape: module-level imports only, save numpy, which the
 solver's sweep functions import when they first run, so that importing
-the package or its command line loads no numpy; no import cycle, numpy in
-the solver alone, exported functions that the package or a benchmark
-workload calls, and only the five settings that cli.py or a benchmark
-workload sets: main's argv, build_point_circle's centres class,
-enumerate_solutions' seed count and RNG seed, and circular_layout's
-rotation_sign, which the benchmark's GP(n,s) family sets and cli.py leaves at
--1.  The verifier's tolerances are fixed."""
+the package or its command line loads no numpy, and a command that loads
+it asks OpenBLAS for one thread unless the caller has set a count; no
+import cycle, numpy in the solver alone, exported functions that the
+package or a benchmark workload calls, and only the five settings that
+cli.py or a benchmark workload sets: main's argv, build_point_circle's
+centres class, enumerate_solutions' seed count and RNG seed, and
+circular_layout's rotation_sign, which the benchmark's GP(n,s) family
+sets and cli.py leaves at -1.  The verifier's tolerances are fixed."""
 
 import ast
 import inspect
+import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
 
 import unitdist
 from conftest import run_python
+from unitdist.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "unitdist"
@@ -73,6 +77,58 @@ def test_import_leaves_numpy_out_until_a_sweep_runs(tmp_path):
     done = run_python(probe, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert "found 2 non-degenerate solution(s)" in done.stdout
+
+
+# a fresh process runs solve with OPENBLAS_NUM_THREADS set to argv[2], or
+# unset for "-", then prints, as its last line, the variable, numpy's BLAS
+# library and the process's thread count (null where not known)
+_BLAS_PROBE = """\
+import json, os, sys
+from unitdist.cli import main
+if sys.argv[2] == '-':
+    os.environ.pop('OPENBLAS_NUM_THREADS', None)
+else:
+    os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[2]
+code = main(['solve', '--seeds', '100', '--out-dir', sys.argv[1]])
+assert code == 0, code
+import numpy as np
+try:
+    blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']
+except (TypeError, KeyError):  # a numpy older than 1.25
+    blas = None
+task = '/proc/self/task'
+print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), blas,
+                  len(os.listdir(task)) if os.path.isdir(task) else None]))
+"""
+
+
+def _blas_probe(tmp_path, value: str) -> list:
+    done = run_python(_BLAS_PROBE, str(tmp_path), value)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_solve_asks_openblas_for_one_thread(tmp_path):
+    # the sweep makes no BLAS call, so before it first imports numpy, solve
+    # asks OpenBLAS to start no worker threads
+    value, blas, threads = _blas_probe(tmp_path, "-")
+    assert value == "1"
+    if "openblas" in (blas or "") and threads is not None:
+        assert threads == 1
+
+
+def test_solve_keeps_a_set_openblas_thread_count(tmp_path):
+    assert _blas_probe(tmp_path, "2")[0] == "2"
+
+
+def test_solve_leaves_the_environment_once_numpy_is_loaded(tmp_path,
+                                                            monkeypatch):
+    # numpy has loaded in this process, so OpenBLAS has read its setting
+    # already; a caller in process keeps its environment unchanged
+    assert "numpy" in sys.modules
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["solve", "--seeds", "50", "--out-dir", str(tmp_path)]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def _absolute_imports(tree: ast.Module) -> set[str]:
