@@ -17,9 +17,8 @@ from .graph import (Bipartition, Graph, NotBipartiteError, automorphism_count,
 from .layout import (Drawing, InfeasibleLayoutError, circular_layout,
                      circular_radii, rhombus_layout)
 from .render import render_configuration, render_drawing
-from .solver import (NoConvergence, ResidualVector, RhombusParams,
-                     SingularJacobian, SolverError, enumerate_solutions,
-                     newton_solve, residual)
+from .solver import (NoConvergence, RhombusParams, SingularJacobian,
+                     SolverError, enumerate_solutions, newton_solve)
 from .verifier import (Degeneracy, FaithfulnessReport,
                        point_on_segment_interior, segments_overlap, verify)
 
@@ -27,11 +26,11 @@ __all__ = [
     "Bipartition", "ConfigurationCheck", "Degeneracy", "Drawing",
     "FaithfulnessReport", "Graph", "IncidenceStructure",
     "InfeasibleLayoutError", "NoConvergence", "NotBipartiteError",
-    "NotFaithfulError", "ResidualVector", "RhombusParams",
+    "NotFaithfulError", "RhombusParams",
     "SingularJacobian", "SolverError", "automorphism_count", "bipartition",
     "build_point_circle", "circular_layout", "circular_radii", "dual",
     "enumerate_solutions", "generalized_petersen", "levi_drawing",
     "newton_solve", "point_on_segment_interior", "render_configuration",
-    "render_drawing", "residual", "rhombus_layout", "segments_overlap",
+    "render_drawing", "rhombus_layout", "segments_overlap",
     "validate_configuration", "verify",
 ]

@@ -26,7 +26,6 @@ and the rest of the package run without it.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from ._jsonfmt import json_number
 from . import layout
@@ -66,18 +65,6 @@ class NoConvergence(SolverError):
     """Newton iteration failed to reach the requested tolerance."""
 
 
-class ResidualVector(NamedTuple):
-    """Left-minus-right values of the four equations."""
-
-    f1: float
-    f2: float
-    f3: float
-    f4: float
-
-    def max_abs(self) -> float:
-        return _max_norm(self)
-
-
 def _residuals(h, k, p, q):
     """The four residuals at (h, k, p, q): floats or equal-shape arrays.
 
@@ -101,10 +88,6 @@ def _max_norm(f) -> float:
     a = list(map(abs, f))
     total = sum(a)  # NaN only when one of a is NaN
     return total if total != total else max(a)
-
-
-def residual(params: RhombusParams) -> ResidualVector:
-    return ResidualVector(*_residuals(*map(float, params.as_tuple())))
 
 
 def _step_terms(h, k, p, q, f1, f2, f3, f4, maximum):
@@ -386,7 +369,7 @@ def solution_to_json_dict(params: RhombusParams) -> dict:
         "k": params.k,
         "p": params.p,
         "q": params.q,
-        "residual_max": residual(params).max_abs(),
+        "residual_max": _max_norm(_residuals(*map(float, params.as_tuple()))),
     }
 
 

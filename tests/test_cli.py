@@ -10,6 +10,7 @@ from unitdist._jsonfmt import dumps
 from unitdist.cli import main
 from unitdist.configuration import ConfigurationCheck
 from unitdist.layout import RhombusParams
+from unitdist.solver import _max_norm, _residuals
 
 ALL_ARTIFACTS = [
     "solutions.json", "drawing.json", "circular.json",
@@ -213,6 +214,15 @@ class TestAll:
         for name in names:
             text = (pipeline_dir / name).read_text()
             assert dumps(json.loads(text)) == text, name
+
+    def test_residual_max_recomputes_from_its_parameters(self, pipeline_dir):
+        # 17 significant digits round-trip a float, so the recorded number
+        # is max |f_i| at the written (h, k, p, q), bit for bit
+        entries = json.loads((pipeline_dir / "solutions.json").read_text())
+        assert len(entries) == 2
+        for e in entries:
+            f = _residuals(e["h"], e["k"], e["p"], e["q"])
+            assert e["residual_max"] == _max_norm(f), e
 
     def test_unfaithful_drawing_stops_before_config(self, tmp_path, capsys,
                                                     monkeypatch):

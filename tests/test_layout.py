@@ -9,7 +9,7 @@ from conftest import REFERENCE_6DP
 from unitdist.graph import Graph, generalized_petersen
 from unitdist.layout import (Drawing, InfeasibleLayoutError, circular_layout,
                              circular_radii, rhombus_layout)
-from unitdist.solver import RhombusParams
+from unitdist.solver import DEFAULT_BOX, RhombusParams, _residuals
 
 # D2 symmetries of the rhombus drawing, as vertex relabelings
 X_REFLECTION = {0: 0, 4: 4, 8: 8, 12: 12, 1: 7, 7: 1, 2: 6, 6: 2, 3: 5, 5: 3,
@@ -22,6 +22,14 @@ HALF_TURN = {v: (v + 4) % 8 if v < 8 else 8 + ((v - 8) + 4) % 8
 # y = x, vertex v going to DIAGONAL[v]
 DIAGONAL = {v: (6 - v) % 8 if v < 8 else 8 + (6 - (v - 8)) % 8
             for v in range(16)}
+# the edges on which d^2 - 1 is 0, f1/4, f2, f3 and f4, in that order
+EDGE_EQUATIONS = (
+    ((0, 8), (2, 10), (4, 12), (6, 14)),
+    ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (0, 7)),
+    ((8, 11), (8, 13), (9, 12), (12, 15)),
+    ((9, 14), (10, 13), (10, 15), (11, 14)),
+    ((1, 9), (3, 11), (5, 13), (7, 15)),
+)
 
 
 def _is_automorphism(g, perm):
@@ -83,6 +91,23 @@ class TestRhombusLayout:
 
     def test_half_turn_relabeling_is_fixed_point_free(self):
         assert all(HALF_TURN[v] != v for v in range(16))
+
+    def test_every_edge_equation_is_one_of_f1_to_f4(self):
+        # the solver's docstring says symmetry gives every edge from its four
+        # equations: check that at any parameters, not only at a root
+        equation = {edge: i for i, edges in enumerate(EDGE_EQUATIONS)
+                    for edge in edges}
+        assert sorted(equation) == list(generalized_petersen(8, 3).edges)
+        worst = 0.0
+        rng = np.random.default_rng(2029)
+        for row in rng.uniform(*DEFAULT_BOX, (2000, 4)).tolist():
+            f1, f2, f3, f4 = _residuals(*row)
+            want = (0.0, f1 / 4.0, f2, f3, f4)
+            pos = rhombus_layout(RhombusParams(*row)).positions
+            for (u, v), i in equation.items():
+                dx, dy = pos[u][0] - pos[v][0], pos[u][1] - pos[v][1]
+                worst = max(worst, abs(dx * dx + dy * dy - 1.0 - want[i]))
+        assert worst <= 1e-12
 
 
 class TestCircularLayout:

@@ -17,28 +17,27 @@ from unitdist.solver import (BUDGET, CONVERGED, DEFAULT_BOX, SINGULAR,
                              SingularJacobian, SolverError,
                              _newton_scalar, _newton_step, _newton_sweep,
                              _residual_array, enumerate_solutions,
-                             newton_solve, residual, solution_from_json_dict,
+                             newton_solve, solution_from_json_dict,
                              solution_to_json_dict)
 
 
 class TestResidual:
     def test_first_equation_at_h2(self):
-        assert residual(RhombusParams(2.0, 0.0, 0.0, 0.0)).f1 == 0.0
+        assert solver._residuals(2.0, 0.0, 0.0, 0.0)[0] == 0.0
 
     def test_origin(self):
-        assert residual(RhombusParams(0.0, 0.0, 0.0, 0.0)) == (-4.0, 0.0, 0.0, -1.0)
+        assert solver._residuals(0.0, 0.0, 0.0, 0.0) == (-4.0, 0.0, 0.0, -1.0)
 
     def test_reference_values_nearly_solve(self):
-        params = RhombusParams(*REFERENCE_6DP)
-        assert residual(params).max_abs() < 1e-4
+        assert solver._max_norm(solver._residuals(*REFERENCE_6DP)) < 1e-4
 
     def test_frozen_root_solves(self):
-        assert residual(RhombusParams(*KNOWN_SOLUTION)).max_abs() < 1e-12
-        assert residual(RhombusParams(*REFLECTED_SOLUTION)).max_abs() < 1e-12
+        assert solver._max_norm(solver._residuals(*KNOWN_SOLUTION)) < 1e-12
+        assert solver._max_norm(solver._residuals(*REFLECTED_SOLUTION)) < 1e-12
 
     def test_max_abs_is_nan_when_a_residual_is(self):
         # f1 = 0 comes first; a max that dropped NaN would return it
-        assert math.isnan(residual(RhombusParams(2.0, 0.0, math.nan, 0.0)).max_abs())
+        assert math.isnan(solver._max_norm(solver._residuals(2.0, 0.0, math.nan, 0.0)))
 
     def test_single_sign_flips_break_the_system(self):
         # guards against accidentally assuming axiswise sign symmetry
@@ -46,7 +45,7 @@ class TestResidual:
         for axis in range(4):
             flipped = list(base)
             flipped[axis] = -flipped[axis]
-            assert residual(RhombusParams(*flipped)).max_abs() > 1e-2
+            assert solver._max_norm(solver._residuals(*flipped)) > 1e-2
 
 
 class TestJacobian:
@@ -76,8 +75,8 @@ class TestJacobian:
             for col in range(4):
                 step = np.zeros(4)
                 step[col] = dx
-                plus = residual(RhombusParams(*(x + step).tolist()))
-                minus = residual(RhombusParams(*(x - step).tolist()))
+                plus = solver._residuals(*(x + step).tolist())
+                minus = solver._residuals(*(x - step).tolist())
                 fd = (np.array(plus) - np.array(minus)) / (2.0 * dx)
                 worst = max(worst, float(np.abs(jac[:, col] - fd).max()))
         assert worst < 1e-5
@@ -88,7 +87,7 @@ class TestNewtonSolve:
         found = newton_solve(RhombusParams(1.1, 1.6, 0.9, 0.1))
         for got, want in zip(found.as_tuple(), REFERENCE_6DP):
             assert abs(got - want) < 1e-5
-        assert residual(found).max_abs() <= 1e-12
+        assert solver._max_norm(solver._residuals(*found.as_tuple())) <= 1e-12
 
     def test_seed_at_solution_is_returned_unchanged(self):
         seed = RhombusParams(*KNOWN_SOLUTION)
@@ -170,7 +169,7 @@ class TestClosedFormStep:
         assert not singular.any()
         for row, got in zip(rows.tolist(), step.T):
             params = RhombusParams(*row)
-            want = np.linalg.solve(jacobian(params), -np.array(residual(params)))
+            want = np.linalg.solve(jacobian(params), -np.array(solver._residuals(*row)))
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_singular_verdict_matches_lapack_determinant(self):
@@ -448,7 +447,7 @@ class TestEnumerateSolutions:
 
     def test_all_roots_meet_tolerance(self, solutions):
         for params in solutions:
-            assert residual(params).max_abs() <= 1e-12
+            assert solver._max_norm(solver._residuals(*params.as_tuple())) <= 1e-12
             assert params.h > 0 and params.k > 0
 
     def test_bitwise_deterministic(self):
