@@ -15,10 +15,12 @@ f1 makes the rhombus side span two unit edges; f2..f4 make the edges
 dihedral symmetry of the coordinate scheme.  RhombusParams is defined in
 layout and re-exported here.
 
-The damped Newton iteration has two drivers over one set of residual and
+The damped Newton iteration has two drivers over the same residual and
 step formulas: enumerate_solutions runs many starts in lockstep on numpy
 arrays, and newton_solve runs one start on Python floats, where numpy's
-per-call cost would dominate.  Both give the same iterate, bit for bit.
+per-call cost would dominate; its line search computes _residuals' four
+expressions one at a time (f1, f4, f2, f3) and stops a trial at the first
+that is not below the norm.  Both give the same iterate, bit for bit.
 numpy is imported when a sweep function first runs, so the float driver
 and the rest of the package run without it.
 """
@@ -177,14 +179,18 @@ def _larger(a: float, b: float) -> float:
 
 def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
     """_newton_sweep on one start, in Python floats: the same final
-    iterate, bit for bit, and status."""
+    iterate, bit for bit, and status.  A trial computes _residuals'
+    expressions one at a time, f1 (which needs only h and k), f4, f2, f3,
+    and fails at the first that is not below the norm.  It does not call
+    _residuals, which the sweep shares: an early stop there would make the
+    array kernel branch on its caller."""
     h, k, p, q = map(float, start)
     f = _residuals(h, k, p, q)
     fn = _max_norm(f)
     for _ in range(DEFAULT_MAX_ITER):
         if fn <= DEFAULT_TOL:
             return (h, k, p, q), CONVERGED
-        numerators, det, singular = _step_terms(h, k, p, q, *f, _larger)
+        (n0, n1, n2, n3), det, singular = _step_terms(h, k, p, q, *f, _larger)
         if singular:  # the sweep's zero step lowers no norm
             return (h, k, p, q), SINGULAR
         if not det:
@@ -192,17 +198,24 @@ def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
             # pass the test; the sweep's step is then all inf or NaN, and
             # every trial has a residual norm of inf or NaN
             return (h, k, p, q), STALLED
-        sh, sk, sp, sq = (n / det for n in numerators)
+        sh, sk, sp, sq = n0 / det, n1 / det, n2 / det, n3 / det
         for damping in _DAMPINGS:
-            th, tk, tp, tq = (h + damping * sh, k + damping * sk,
-                              p + damping * sp, q + damping * sq)
-            f = f1, f2, f3, f4 = _residuals(th, tk, tp, tq)
-            # _max_norm(f) < fn, with no norm built: a NaN fails both
-            if abs(f1) < fn and abs(f2) < fn and abs(f3) < fn and abs(f4) < fn:
+            # _max_norm(f) < fn, one residual at a time, each with the
+            # operations of _residuals: a NaN fails both
+            th, tk = h + damping * sh, k + damping * sk
+            if not abs(f1 := th * th + tk * tk - 4.0) < fn:
+                continue
+            tp, tq = p + damping * sp, q + damping * sq
+            c, d = tp - 0.5 * th, tq + 0.5 * tk
+            if not abs(f4 := c * c + d * d - 1.0) < fn:
+                continue
+            a, b = tq - tk + 1.0, tp + th - 1.0
+            if (abs(f2 := tp * tp + a * a - 1.0) < fn
+                    and abs(f3 := tq * tq + b * b - 1.0) < fn):
                 break
         else:
             return (h, k, p, q), STALLED
-        h, k, p, q = th, tk, tp, tq
+        h, k, p, q, f = th, tk, tp, tq, (f1, f2, f3, f4)
         fn = max(abs(f1), abs(f2), abs(f3), abs(f4))  # f holds no NaN here
     return (h, k, p, q), CONVERGED if fn <= DEFAULT_TOL else BUDGET
 

@@ -79,6 +79,27 @@ def test_import_leaves_numpy_out_until_a_sweep_runs(tmp_path):
     assert "found 2 non-degenerate solution(s)" in done.stdout
 
 
+def test_float_driver_runs_with_numpy_blocked():
+    # a fresh process that cannot import numpy: newton_solve finds the root
+    # this process finds, bit for bit, and raises on a singular start
+    probe = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from unitdist import RhombusParams, SingularJacobian, newton_solve\n"
+        "root = newton_solve(RhombusParams(1.1, 1.6, 0.0, 0.4))\n"
+        "print(*(t.hex() for t in root.as_tuple()))\n"
+        "try:\n"
+        "    newton_solve(RhombusParams(-2.0, -2.0, 2.9, -2.9))\n"
+        "except SingularJacobian:\n"
+        "    print('singular')\n"
+    )
+    done = run_python(probe)
+    assert done.returncode == 0, done.stderr
+    root = unitdist.newton_solve(unitdist.RhombusParams(1.1, 1.6, 0.0, 0.4))
+    want = [t.hex() for t in root.as_tuple()] + ["singular"]
+    assert done.stdout.split() == want
+
+
 # a fresh process runs solve with OPENBLAS_NUM_THREADS set to argv[2], or
 # unset for "-", then prints, as its last line, the variable, numpy's BLAS
 # library and the process's thread count (null where not known)

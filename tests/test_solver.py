@@ -292,7 +292,7 @@ def test_scalar_driver_matches_its_row_of_the_sweep(start):
 
 def _newton_scalar_reference(start):
     """_newton_scalar as it was, with builtin max and a norm per trial: the
-    oracle for its iterates, statuses and _residuals calls."""
+    oracle for its iterates, statuses and line-search trials."""
     x = tuple(map(float, start))
     f = solver._residuals(*x)
     fn = solver._max_norm(f)
@@ -320,25 +320,27 @@ def _newton_scalar_reference(start):
 
 
 def _assert_scalar_driver_matches_the_reference(starts):
-    """The same iterate by float.hex, status and number of _residuals calls,
-    so no extra trial is evaluated."""
-    calls = []
-    residuals = solver._residuals
+    """The same iterate by float.hex, status and number of line-search
+    trials, each counted as solver._DAMPINGS hands out its damping, so no
+    extra trial is evaluated."""
+    trials = []
 
-    def counting(*x):
-        calls.append(None)
-        return residuals(*x)
+    class CountingDampings(tuple):
+        def __iter__(self):
+            for damping in tuple.__iter__(self):
+                trials.append(None)
+                yield damping
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_residuals", counting)
+        patch.setattr(solver, "_DAMPINGS", CountingDampings(solver._DAMPINGS))
         for start in starts:
             x, code = _newton_scalar(start)
-            count = len(calls)
+            count = len(trials)
             want_x, want_code = _newton_scalar_reference(start)
             assert code == want_code, start
             assert [t.hex() for t in x] == [t.hex() for t in want_x], start
-            assert len(calls) == 2 * count, start
-            calls.clear()
+            assert len(trials) == 2 * count, start
+            trials.clear()
 
 
 def test_scalar_driver_matches_the_reference_on_box_starts():
