@@ -10,7 +10,7 @@ at its point or centre, is a drawing that the verifier can check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from ._jsonfmt import json_index, json_number
@@ -23,29 +23,29 @@ class NotFaithfulError(ValueError):
     """The source drawing is not a faithful unit-distance representation."""
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(namedtuple(
+        "IncidenceStructure", "points centers incidence point_labels circle_labels")):
     """Points, unit-circle centres, and which point lies on which circle.
 
     incidence is the sorted tuple of (point label, circle label) pairs,
     each listed once.  point_labels and circle_labels carry the
     originating vertex ids (distinct integers) so the structure stays
-    traceable to the drawing it came from.
+    traceable to the drawing it came from.  points and centers are
+    tuples of (x, y) pairs, one per label.
     """
 
-    points: tuple[tuple[float, float], ...]
-    centers: tuple[tuple[float, float], ...]
-    incidence: tuple[tuple[int, int], ...]
-    point_labels: tuple[int, ...]
-    circle_labels: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, points: tuple[tuple[float, float], ...],
+                centers: tuple[tuple[float, float], ...],
+                incidence: tuple[tuple[int, int], ...],
+                point_labels: tuple[int, ...], circle_labels: tuple[int, ...]):
         points, centers = (tuple((json_number(x), json_number(y)) for x, y in xys)
-                           for xys in (self.points, self.centers))
-        point_labels = tuple(map(json_index, self.point_labels))
-        circle_labels = tuple(map(json_index, self.circle_labels))
+                           for xys in (points, centers))
+        point_labels = tuple(map(json_index, point_labels))
+        circle_labels = tuple(map(json_index, circle_labels))
         incidence = tuple(sorted((json_index(pl), json_index(cl))
-                                 for pl, cl in self.incidence))
+                                 for pl, cl in incidence))
         if (len(point_labels), len(circle_labels)) != (len(points), len(centers)):
             raise ValueError("one label per point and per circle required")
         if len(set(point_labels + circle_labels)) != len(points) + len(centers):
@@ -54,11 +54,8 @@ class IncidenceStructure:
         if (len(set(incidence)) != len(incidence)
                 or not all(pl in known[0] and cl in known[1] for pl, cl in incidence)):
             raise ValueError("an incidence names an unknown label or repeats")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "incidence", incidence)
-        object.__setattr__(self, "point_labels", point_labels)
-        object.__setattr__(self, "circle_labels", circle_labels)
+        return tuple.__new__(cls, (points, centers, incidence, point_labels,
+                                   circle_labels))
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,16 +117,14 @@ def build_point_circle(d: Drawing, bp: Bipartition, centers_class: str = "a"
     )
 
 
-@dataclass(frozen=True)
-class ConfigurationCheck:
+class ConfigurationCheck(namedtuple("ConfigurationCheck", "signature violations")):
     """Outcome of the combinatorial configuration axioms.
 
     signature is (v, b, r, c) when the structure is a (v_r, b_c)
-    configuration, else None with the violations listed.
+    configuration, else None with the violations listed, a tuple of str.
     """
 
-    signature: tuple[int, int, int, int] | None
-    violations: tuple[str, ...]
+    __slots__ = ()
 
 
 def validate_configuration(s: IncidenceStructure) -> ConfigurationCheck:

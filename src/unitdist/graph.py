@@ -8,7 +8,7 @@ outer octagon on 0..7 and the inner star on 8..15.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache, cached_property
 
 from ._jsonfmt import json_index
@@ -22,24 +22,21 @@ class NotBipartiteError(ValueError):
         self.odd_cycle = tuple(odd_cycle)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(namedtuple("Graph", "n_vertices edges")):
     """Simple undirected graph on vertices 0..n_vertices-1.
 
     Edges are normalized on construction: each pair sorted ascending, the
     whole set sorted lexicographically, duplicates, self-loops and non-integer
-    ids rejected.
+    ids rejected.  Frozen; adjacency and edge_set are computed on first use
+    and kept.
     """
 
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        n = json_index(self.n_vertices)
+    def __new__(cls, n_vertices: int, edges: tuple[tuple[int, int], ...]):
+        n = json_index(n_vertices)
         if n < 0:
             raise ValueError("n_vertices must be non-negative")
         seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
+        for u, v in edges:
             u, v = json_index(u), json_index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of vertex range")
@@ -49,8 +46,11 @@ class Graph:
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        object.__setattr__(self, "n_vertices", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        return tuple.__new__(cls, (n, tuple(sorted(seen))))
+
+    def __setattr__(self, name, value):
+        # the instance __dict__ holds only the cached properties below
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -70,10 +70,10 @@ class Graph:
         return cls(data["n_vertices"], data["edges"])
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    class_a: frozenset[int]
-    class_b: frozenset[int]
+class Bipartition(namedtuple("Bipartition", "class_a class_b")):
+    """Two frozensets of vertex ids, class_a and class_b."""
+
+    __slots__ = ()
 
 
 def generalized_petersen(n: int, s: int) -> Graph:

@@ -8,24 +8,20 @@ unknowns of RhombusParams, which the solver finds.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from ._jsonfmt import json_number
 from .graph import Graph, generalized_petersen
 
 
-@dataclass(frozen=True, order=True)
-class RhombusParams:
-    """The four unknowns, in unit-edge-length units.
+class RhombusParams(namedtuple("RhombusParams", "h k p q")):
+    """The four unknowns, floats in unit-edge-length units.
 
     Ordering is lexicographic on (h, k, p, q), which fixes the order of
     enumerated solution lists.
     """
 
-    h: float
-    k: float
-    p: float
-    q: float
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.h, self.k, self.p, self.q)
@@ -35,22 +31,20 @@ class InfeasibleLayoutError(ValueError):
     """The circular construction admits no real inner-ring rotation."""
 
 
-@dataclass(frozen=True)
-class Drawing:
+class Drawing(namedtuple("Drawing", "graph positions")):
     """Vertex positions for a graph, one finite (x, y) pair per vertex id."""
 
-    graph: Graph
-    positions: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pos = tuple((json_number(x), json_number(y)) for x, y in self.positions)
-        if len(pos) != self.graph.n_vertices:
-            raise ValueError(f"expected {self.graph.n_vertices} positions, "
+    def __new__(cls, graph: Graph, positions: tuple[tuple[float, float], ...]):
+        pos = tuple((json_number(x), json_number(y)) for x, y in positions)
+        if len(pos) != graph.n_vertices:
+            raise ValueError(f"expected {graph.n_vertices} positions, "
                              f"got {len(pos)}")
-        object.__setattr__(self, "positions", pos)
+        return tuple.__new__(cls, (graph, pos))
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"graph": self.graph._asdict(), "positions": self.positions}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Drawing":

@@ -20,7 +20,7 @@ any drawing.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .layout import Drawing
 
@@ -35,8 +35,7 @@ COLLINEAR_OVERLAPPING_EDGES = "collinear-overlapping-edges"
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Degeneracy:
+class Degeneracy(namedtuple("Degeneracy", "kind witness")):
     """A single degeneracy finding.
 
     witness holds vertex indices whose meaning depends on kind:
@@ -44,29 +43,25 @@ class Degeneracy:
     with edge (a, b), and (a1, b1, a2, b2) for overlapping edges.
     """
 
-    kind: str
-    witness: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FaithfulnessReport:
-    # the field order is the key order of the report's JSON
-    is_unit_distance: bool
-    is_faithful: bool
-    max_edge_residual: float
-    max_edge_residual_witness: tuple[int, int] | None
-    min_nonedge_gap: float
-    min_nonedge_gap_witness: tuple[int, int] | None
-    min_vertex_separation: float
-    min_vertex_separation_witness: tuple[int, int] | None
-    degeneracies: tuple[Degeneracy, ...]
-    edge_tol: float
-    gap_threshold: float
-    n_edges: int
-    n_nonadjacent_pairs: int
+class FaithfulnessReport(namedtuple("FaithfulnessReport", (
+        # the field order is the key order of the report's JSON
+        "is_unit_distance is_faithful max_edge_residual max_edge_residual_witness "
+        "min_nonedge_gap min_nonedge_gap_witness min_vertex_separation "
+        "min_vertex_separation_witness degeneracies edge_tol gap_threshold "
+        "n_edges n_nonadjacent_pairs"))):
+    """verify's verdicts and the measures behind them.  Each witness is a
+    vertex pair, None when there is no pair to name; degeneracies is a
+    tuple of Degeneracy."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        data = self._asdict()
+        data["degeneracies"] = tuple(d._asdict() for d in self.degeneracies)
+        return data
 
 
 def point_on_segment_interior(pt: Point, a: Point, b: Point) -> bool:

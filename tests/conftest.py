@@ -39,6 +39,13 @@ MIN_NONEDGE_GAP = 0.06924361979757983
 MIN_NONEDGE_GAP_ORBIT = ((1, 10), (3, 10), (5, 14), (7, 14))
 MIN_VERTEX_SEPARATION = 0.26605831682212978
 
+# FaithfulnessReport's fields in declared order, the key order of its JSON
+REPORT_FIELDS = ("is_unit_distance", "is_faithful", "max_edge_residual",
+                 "max_edge_residual_witness", "min_nonedge_gap",
+                 "min_nonedge_gap_witness", "min_vertex_separation",
+                 "min_vertex_separation_witness", "degeneracies", "edge_tol",
+                 "gap_threshold", "n_edges", "n_nonadjacent_pairs")
+
 
 def jacobian(params: RhombusParams) -> np.ndarray:
     """4x4 matrix of partial derivatives d f_i / d (h, k, p, q)."""

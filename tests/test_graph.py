@@ -1,6 +1,5 @@
 """Graph construction, bipartition, and automorphism counting."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -163,7 +162,8 @@ class TestGraphType:
 
     def test_json_round_trip(self):
         g = generalized_petersen(5, 2)
-        data = json.loads(json.dumps(dataclasses.asdict(g)))
+        fields = {name: getattr(g, name) for name in ("n_vertices", "edges")}
+        data = json.loads(json.dumps(fields))
         assert data["edges"] == sorted(data["edges"])
         assert Graph.from_json_dict(data) == g
 

@@ -7,18 +7,28 @@ package or a benchmark workload calls, and only the five settings that
 cli.py or a benchmark workload sets: main's argv, build_point_circle's
 centres class, enumerate_solutions' seed count and RNG seed, and
 circular_layout's rotation_sign, which the benchmark's GP(n,s) family
-sets and cli.py leaves at -1.  The verifier's tolerances are fixed."""
+sets and cli.py leaves at -1.  The verifier's tolerances are fixed.
+
+The package imports neither dataclasses, which loads inspect, ast, dis and
+tokenize, nor typing, each a cost to every cold start; its eight record
+classes are frozen values that compare and hash by their fields."""
 
 import ast
 import inspect
 import json
 import os
+import random
 import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import unitdist
-from conftest import run_python
+from conftest import REPORT_FIELDS, run_python
+from unitdist import (Bipartition, ConfigurationCheck, Degeneracy, Drawing,
+                      FaithfulnessReport, Graph, IncidenceStructure,
+                      RhombusParams, verify)
 from unitdist.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,6 +87,60 @@ def test_import_leaves_numpy_out_until_a_sweep_runs(tmp_path):
     done = run_python(probe, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert "found 2 non-degenerate solution(s)" in done.stdout
+
+
+def test_import_leaves_dataclasses_and_inspect_out():
+    # a fresh process: this one has both loaded already
+    done = run_python("import sys, unitdist, unitdist.cli\n"
+                      "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    # typing is checked in the source alone, as some installs load it when
+    # the interpreter starts
+    assert {name: found for name, tree in MODULES.items()
+            if (found := _absolute_imports(tree) & {"dataclasses", "typing"})} == {}
+
+
+_SQUARE = Drawing(Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))),
+                  ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+_REPORT = verify(_SQUARE)
+
+# each record class with its fields, in declared order, and sample values
+RECORDS = [
+    (Graph, {"n_vertices": 3, "edges": ((0, 1), (1, 2))}),
+    (Bipartition, {"class_a": frozenset({0, 2}), "class_b": frozenset({1})}),
+    (RhombusParams, {"h": 1.1, "k": 1.6, "p": 0.0, "q": 0.4}),
+    (Drawing, {"graph": _SQUARE.graph, "positions": _SQUARE.positions}),
+    (Degeneracy, {"kind": "coincident-vertices", "witness": (0, 1)}),
+    (FaithfulnessReport, {name: getattr(_REPORT, name) for name in REPORT_FIELDS}),
+    (IncidenceStructure, {"points": ((0.0, 0.0),), "centers": ((1.0, 0.0),),
+                          "incidence": ((0, 1),), "point_labels": (0,),
+                          "circle_labels": (1,)}),
+    (ConfigurationCheck, {"signature": (1, 1, 1, 1), "violations": ()}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[c.__name__ for c, _ in RECORDS])
+def test_records_are_frozen_values(cls, fields):
+    positional, keyword = cls(*fields.values()), cls(**fields)
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert [getattr(keyword, name) for name in fields] == list(fields.values())
+    for name in [*fields, "not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(keyword, name, None)
+    if cls is Graph:
+        g = keyword
+        assert g.adjacency is g.adjacency and g.edge_set is g.edge_set
+    if cls is RhombusParams:
+        # the 16 combinations of two values per coordinate, shuffled
+        keys = [(h, k, p, q) for h in (0.0, 1.0) for k in (-1.0, 2.0)
+                for p in (0.5, 0.25) for q in (3.0, -3.0)]
+        random.Random(0).shuffle(keys)
+        assert [r.as_tuple() for r in sorted(RhombusParams(*t) for t in keys)] \
+            == sorted(keys)
 
 
 def test_float_driver_runs_with_numpy_blocked():
