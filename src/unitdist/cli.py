@@ -22,8 +22,8 @@ from .configuration import (IncidenceStructure, NotFaithfulError,
 from .graph import NotBipartiteError, bipartition
 from .layout import Drawing, RhombusParams, circular_layout, rhombus_layout
 from .render import render_drawing, render_configuration
-from .solver import (DEFAULT_SEED_COUNT, enumerate_solutions,
-                     solution_from_json_dict, solution_to_json_dict)
+from .solver import (enumerate_solutions, solution_from_json_dict,
+                     solution_to_json_dict)
 from .verifier import FaithfulnessReport, verify
 
 EXIT_OK = 0
@@ -56,10 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", type=Path, default=Path("out"),
                         help="directory for output artifacts (default: %(default)s)")
     solving = argparse.ArgumentParser(add_help=False)
-    solving.add_argument("--seeds", type=_number(), default=DEFAULT_SEED_COUNT,
-                         help="number of random starts (default: %(default)s)")
+    solving.add_argument("--seeds", type=_number(), default=None,
+                         help="find the roots by a Newton sweep from this "
+                              "many random starts (default: exact "
+                              "elimination, which proves the list complete)")
     solving.add_argument("--rng-seed", type=_number(zero_ok=True), default=0,
-                         help="seed for the random start generator "
+                         help="seed for the random starts of --seeds "
                               "(default: %(default)s)")
 
     p = sub.add_parser("solve", parents=[common, solving],
@@ -179,7 +181,7 @@ def _report_table(name: str, report: FaithfulnessReport) -> str:
 # what it built.  The cmd_* functions wrap one stage; cmd_all chains them.
 
 def _solve(args) -> list[RhombusParams]:
-    if "numpy" not in sys.modules:
+    if args.seeds is not None and "numpy" not in sys.modules:
         # the sweep makes no BLAS call, so OpenBLAS's thread pool, which it
         # starts when numpy is first imported, is pure start-up cost
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -1,4 +1,4 @@
-"""Multistart damped-Newton solver for the rhombus embedding system.
+"""Roots of the rhombus embedding system: exact, or by multistart Newton.
 
 The unknowns (h, k, p, q) pin a planar drawing of GP(8, 3): the outer
 octagon is a rhombus with half-diagonals h (along x) and k (along y), and
@@ -13,11 +13,13 @@ symmetry, to four quadratic equations:
 f1 makes the rhombus side span two unit edges; f2..f4 make the edges
 13-8, 13-10 and 13-5 unit length.  All remaining edges follow from the
 dihedral symmetry of the coordinate scheme.  RhombusParams is defined in
-layout and re-exported here.
+layout and re-exported here, and the residual kernel _residuals in certify.
 
-The damped Newton iteration has two drivers over the same residual and
-step formulas: enumerate_solutions runs many starts in lockstep on numpy
-arrays, and newton_solve runs one start on Python floats, where numpy's
+By default enumerate_solutions returns certify's roots: proved to be all
+of them, and correctly rounded.  The damped Newton iteration has two
+drivers over the same residual and step formulas: enumerate_solutions,
+given a seed count, runs many starts in lockstep on numpy arrays, and
+newton_solve runs one start on Python floats, where numpy's
 per-call cost would dominate; its line search computes _residuals' four
 expressions one at a time (f1, f4, f2, f3) and stops a trial at the first
 that is not below the norm.  Both give the same iterate, bit for bit.
@@ -31,12 +33,12 @@ import math
 
 from ._jsonfmt import json_number
 from . import layout
+from .certify import _residuals, certified_roots
 from .layout import RhombusParams
 from .verifier import verify
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100
-DEFAULT_SEED_COUNT = 10_000
 DEFAULT_DEDUPE_TOL = 1e-6
 DEFAULT_BOX = (-3.0, 3.0)  # each of h, k, p, q
 
@@ -65,17 +67,6 @@ class SingularJacobian(SolverError):
 
 class NoConvergence(SolverError):
     """Newton iteration failed to reach the requested tolerance."""
-
-
-def _residuals(h, k, p, q):
-    """The four residuals at (h, k, p, q): floats or equal-shape arrays.
-
-    Each square is t * t: Python's and numpy-scalar ** call pow, which can
-    differ from t * t by an ulp, and Python's raises OverflowError.
-    """
-    a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
-    return (h * h + k * k - 4.0, p * p + a * a - 1.0, q * q + b * b - 1.0,
-            c * c + d * d - 1.0)
 
 
 def _residual_array(x: np.ndarray) -> np.ndarray:
@@ -220,27 +211,35 @@ def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
     return (h, k, p, q), CONVERGED if fn <= DEFAULT_TOL else BUDGET
 
 
-def enumerate_solutions(seed_count: int = DEFAULT_SEED_COUNT,
+def enumerate_solutions(seed_count: int | None = None,
                         rng_seed: int = 0) -> list[RhombusParams]:
-    """All distinct non-degenerate roots found from seed_count random starts.
+    """The distinct non-degenerate roots, sorted lexicographically by
+    (h, k, p, q).
 
-    The seeds are the draw default_rng(rng_seed).uniform(*DEFAULT_BOX,
-    (seed_count, 4)), taken and swept in consecutive chunks of _CHUNK
-    rows.  PCG64 draws are sequential, so seed i is the same for any
-    seed_count and any chunking, and the result cannot depend on execution
-    order.  The Newton sweeps (residual max-norm <= DEFAULT_TOL, at most
-    DEFAULT_MAX_ITER steps) run vectorized in lockstep.  Converged iterates
-    are deduplicated (max-norm distance < DEFAULT_DEDUPE_TOL), filtered to
-    non-degenerate roots, and returned sorted lexicographically by
-    (h, k, p, q).  Memory is O(_CHUNK + converged rows).
+    With seed_count None they come from certify.certified_roots: all the
+    roots with h > 0 and k > 0, each coordinate correctly rounded, and no
+    random start runs.  Otherwise they are all that seed_count random
+    starts find.  The seeds are the draw
+    default_rng(rng_seed).uniform(*DEFAULT_BOX, (seed_count, 4)), taken and
+    swept in consecutive chunks of _CHUNK rows.  PCG64 draws are
+    sequential, so seed i is the same for any seed_count and any chunking,
+    and the result cannot depend on execution order.  The Newton sweeps
+    (residual max-norm <= DEFAULT_TOL, at most DEFAULT_MAX_ITER steps) run
+    vectorized in lockstep.  Converged iterates are deduplicated (max-norm
+    distance < DEFAULT_DEDUPE_TOL) and filtered to non-degenerate roots.
+    Memory is O(_CHUNK + converged rows).
 
     A root is non-degenerate when h > 0, k > 0 and verify's
     min_vertex_separation of its rhombus drawing is at least 1e-6.  An
-    empty list just means no seed converged; it is not an error.
+    empty list from a sweep just means no seed converged; it is not an
+    error.
 
-    numpy is imported on the first call, here and in the sweep functions
-    it calls, so only a run that sweeps pays for it.
+    numpy is imported when a sweep first runs, here and in the sweep
+    functions it calls, so only a run that sweeps pays for it.
     """
+    if seed_count is None:
+        return list(filter(_is_nondegenerate,
+                           (RhombusParams(*x) for x in certified_roots())))
     import numpy as np
     if seed_count < 1:
         raise ValueError("seed_count must be at least 1")

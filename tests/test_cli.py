@@ -287,6 +287,25 @@ def test_stages_after_solve_run_without_numpy(pipeline_dir, tmp_path):
                 (a / file).read_bytes(), file
 
 
+def test_default_all_runs_without_numpy_and_ignores_rng_seed(tmp_path):
+    # with no --seeds, all writes the certified roots: numpy is blocked, and
+    # --rng-seed, which only seeds the starts of --seeds, changes no byte
+    outs = [tmp_path / "r0", tmp_path / "r7"]
+    probe = ("import json, sys\n"
+             "sys.modules['numpy'] = None\n"
+             "from unitdist.cli import main\n"
+             "print(json.dumps([main(['all', '--rng-seed', seed, '--out-dir', out])"
+             " for seed, out in zip('07', sys.argv[1:])]))\n")
+    done = run_python(probe, *map(str, outs))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, 0]
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(ALL_ARTIFACTS)
+    for name in ALL_ARTIFACTS:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    entries = json.loads((outs[0] / "solutions.json").read_text())
+    assert [e["residual_max"] for e in entries] == [2.0 ** -53] * 2
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1

@@ -1,7 +1,8 @@
 """The package's shape: module-level imports only, save numpy, which the
 solver's sweep functions import when they first run, so that importing
-the package or its command line loads no numpy, and a command that loads
-it asks OpenBLAS for one thread unless the caller has set a count; no
+the package or its command line loads no numpy, nor fractions, decimal or
+numbers, a default solve loads none of them, and a --seeds sweep asks
+OpenBLAS for one thread unless the caller has set a count; no
 import cycle, numpy in the solver alone, exported functions that the
 package or a benchmark workload calls, and only the five settings that
 cli.py or a benchmark workload sets: main's argv, build_point_circle's
@@ -87,6 +88,16 @@ def test_import_leaves_numpy_out_until_a_sweep_runs(tmp_path):
     done = run_python(probe, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert "found 2 non-degenerate solution(s)" in done.stdout
+
+
+def test_import_leaves_numpy_and_the_number_modules_out():
+    # the certificate computes on ints: fractions, which loads decimal and
+    # numbers, takes a third as long to import as a cached unitdist.cli
+    done = run_python("import sys, unitdist, unitdist.cli\n"
+                      "print(sorted({'numpy', 'fractions', 'decimal', 'numbers'}"
+                      " & sys.modules.keys()))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_import_leaves_dataclasses_and_inspect_out():
@@ -206,6 +217,22 @@ def test_solve_keeps_a_set_openblas_thread_count(tmp_path):
     assert _blas_probe(tmp_path, "2")[0] == "2"
 
 
+def test_default_solve_leaves_the_environment(tmp_path):
+    # a fresh process: solve without --seeds runs no sweep, so it loads no
+    # numpy and sets no OpenBLAS thread count
+    probe = (
+        "import os, sys\n"
+        "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+        "from unitdist.cli import main\n"
+        "code = main(['solve', '--rng-seed', '7', '--out-dir', sys.argv[1]])\n"
+        "print(code, 'OPENBLAS_NUM_THREADS' in os.environ,"
+        " 'numpy' in sys.modules)\n"
+    )
+    done = run_python(probe, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False False"
+
+
 def test_solve_leaves_the_environment_once_numpy_is_loaded(tmp_path,
                                                             monkeypatch):
     # numpy has loaded in this process, so OpenBLAS has read its setting
@@ -250,8 +277,26 @@ def test_import_graph_is_acyclic():
             del remaining[m]
 
 
+def _namedtuple_defaults(call: ast.Call, module: str) -> set[str]:
+    """The fields that a namedtuple(typename, field_names, defaults=...)
+    call gives a default: the last ones, or all if the count is not
+    literal."""
+    defaults = [kw.value for kw in call.keywords if kw.arg == "defaults"]
+    if not defaults:
+        return set()
+    name, fields = map(ast.literal_eval, call.args[:2])
+    fields = fields.replace(",", " ").split() if isinstance(fields, str) \
+        else list(fields)
+    count = (len(defaults[0].elts)
+             if isinstance(defaults[0], (ast.Tuple, ast.List)) else len(fields))
+    return {f"{module}.{name}.{field}"
+            for field in fields[len(fields) - count:]}
+
+
 def _settable_values(tree: ast.Module, module: str) -> set[str]:
-    """Defaulted parameters of public functions and defaulted class fields."""
+    """Defaulted parameters of public functions and defaulted record
+    fields: annotated class fields with a value, as a dataclass gives them,
+    and namedtuple defaults."""
     found = set()
     for node in ast.walk(tree):
         if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -266,7 +311,19 @@ def _settable_values(tree: ast.Module, module: str) -> set[str]:
             found.update(f"{module}.{node.name}.{field.target.id}"
                          for field in node.body
                          if isinstance(field, ast.AnnAssign) and field.value)
+        elif (isinstance(node, ast.Call) and "namedtuple" in
+              (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            found |= _namedtuple_defaults(node, module)
     return found
+
+
+def test_settable_scan_sees_namedtuple_defaults():
+    tree = ast.parse(
+        "class R(namedtuple('R', 'a b c', defaults=(0.0,))):\n"
+        "    x: int = 1\n"
+        "S = collections.namedtuple('S', ['u', 'v'], defaults=DEFAULTS)\n"
+        "T = namedtuple('T', 'w, z')\n")
+    assert _settable_values(tree, "m") == {"m.R.c", "m.R.x", "m.S.u", "m.S.v"}
 
 
 def test_settable_values_are_the_ones_the_command_line_sets():
