@@ -39,10 +39,10 @@ class CertificateError(Exception):
 
 
 def _residuals(h, k, p, q):
-    """The four residuals at (h, k, p, q): floats, equal-shape arrays or _Poly.
+    """The four residuals at (h, k, p, q): floats or _Poly.
 
-    Each square is t * t: Python's and numpy-scalar ** call pow, which can
-    differ from t * t by an ulp, and Python's raises OverflowError.
+    Each square is t * t: Python's ** calls pow, which can differ from
+    t * t by an ulp, and raises OverflowError.
     """
     a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
     return (h * h + k * k - 4.0, p * p + a * a - 1.0, q * q + b * b - 1.0,

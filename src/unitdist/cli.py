@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -181,10 +180,6 @@ def _report_table(name: str, report: FaithfulnessReport) -> str:
 # what it built.  The cmd_* functions wrap one stage; cmd_all chains them.
 
 def _solve(args) -> list[RhombusParams]:
-    if args.seeds is not None and "numpy" not in sys.modules:
-        # the sweep makes no BLAS call, so OpenBLAS's thread pool, which it
-        # starts when numpy is first imported, is pure start-up cost
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     solutions = enumerate_solutions(seed_count=args.seeds, rng_seed=args.rng_seed)
     _write(args.out_dir / "solutions.json",
            dumps([solution_to_json_dict(s) for s in solutions]))

@@ -45,7 +45,7 @@ class TestSolve:
         assert "2 non-degenerate solution(s)" in out
 
     def test_no_roots_found_exits_2(self, tmp_path):
-        code = main(["solve", "--seeds", "1", "--rng-seed", "0",
+        code = main(["solve", "--seeds", "1", "--rng-seed", "1",
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
@@ -238,7 +238,8 @@ class TestAll:
         assert not list(tmp_path.glob("config_centers_*"))
 
     def test_no_roots_stops_after_solve(self, tmp_path, capsys):
-        assert main(["all", "--seeds", "1", "--out-dir", str(tmp_path)]) == 2
+        assert main(["all", "--seeds", "1", "--rng-seed", "1",
+                     "--out-dir", str(tmp_path)]) == 2
         assert "stage solve failed" in capsys.readouterr().err
         assert [path.name for path in tmp_path.iterdir()] == ["solutions.json"]
 

@@ -1,14 +1,13 @@
-"""The package's shape: module-level imports only, save numpy, which the
-solver's sweep functions import when they first run, so that importing
-the package or its command line loads no numpy, nor fractions, decimal or
-numbers, a default solve loads none of them, and a --seeds sweep asks
-OpenBLAS for one thread unless the caller has set a count; no
-import cycle, numpy in the solver alone, exported functions that the
-package or a benchmark workload calls, and only the five settings that
-cli.py or a benchmark workload sets: main's argv, build_point_circle's
-centres class, enumerate_solutions' seed count and RNG seed, and
-circular_layout's rotation_sign, which the benchmark's GP(n,s) family
-sets and cli.py leaves at -1.  The verifier's tolerances are fixed.
+"""The package's shape: module-level imports only; no runtime dependency,
+so no module imports numpy; importing the package or its command line
+loads no numpy, nor fractions, decimal or numbers, a default solve loads
+none of them, and a --seeds solve runs with numpy blocked; no import
+cycle; exported functions that the package or a benchmark workload calls;
+and only the five settings that cli.py or a benchmark workload sets:
+main's argv, build_point_circle's centres class, enumerate_solutions' seed
+count and RNG seed, and circular_layout's rotation_sign, which the
+benchmark's GP(n,s) family sets and cli.py leaves at -1.  The verifier's
+tolerances are fixed.
 
 The package imports neither dataclasses, which loads inspect, ast, dis and
 tokenize, nor typing, each a cost to every cold start; its eight record
@@ -16,8 +15,6 @@ classes are frozen values that compare and hash by their fields."""
 
 import ast
 import inspect
-import json
-import os
 import random
 import sys
 from collections import Counter
@@ -30,7 +27,6 @@ from conftest import REPORT_FIELDS, run_python
 from unitdist import (Bipartition, ConfigurationCheck, Degeneracy, Drawing,
                       FaithfulnessReport, Graph, IncidenceStructure,
                       RhombusParams, verify)
-from unitdist.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "unitdist"
@@ -57,33 +53,25 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return found
 
 
-def _is_numpy_import(node: ast.stmt) -> bool:
-    return (isinstance(node, ast.Import) and len(node.names) == 1
-            and (node.names[0].name, node.names[0].asname) == ("numpy", "np"))
-
-
 def test_no_import_inside_a_function():
-    # a deferred import can hide a cycle; the one allowed is solver.py's
-    # `import numpy as np`, which keeps numpy out of every run that does not
-    # sweep
+    # a deferred import can hide a cycle
     nested = [f"{name}.py:{node.lineno} in {fn.name}()"
               for name, tree in MODULES.items()
               for fn in ast.walk(tree)
               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn)
-              if isinstance(node, (ast.Import, ast.ImportFrom))
-              and not (name == "solver" and _is_numpy_import(node))]
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
 
 
-def test_import_leaves_numpy_out_until_a_sweep_runs(tmp_path):
-    # a fresh process: this one has numpy loaded already
+def test_seeded_solve_runs_with_numpy_blocked(tmp_path):
+    # a fresh process that cannot import numpy: the random starts of
+    # --seeds run on the float driver
     probe = (
-        "import sys, unitdist, unitdist.cli\n"
-        "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-        "code = unitdist.cli.main(['solve', '--seeds', '100',"
-        " '--out-dir', sys.argv[1]])\n"
-        "assert code == 0 and 'numpy' in sys.modules, code\n"
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from unitdist.cli import main\n"
+        "sys.exit(main(['solve', '--seeds', '100', '--out-dir', sys.argv[1]]))\n"
     )
     done = run_python(probe, str(tmp_path))
     assert done.returncode == 0, done.stderr
@@ -175,48 +163,6 @@ def test_float_driver_runs_with_numpy_blocked():
     assert done.stdout.split() == want
 
 
-# a fresh process runs solve with OPENBLAS_NUM_THREADS set to argv[2], or
-# unset for "-", then prints, as its last line, the variable, numpy's BLAS
-# library and the process's thread count (null where not known)
-_BLAS_PROBE = """\
-import json, os, sys
-from unitdist.cli import main
-if sys.argv[2] == '-':
-    os.environ.pop('OPENBLAS_NUM_THREADS', None)
-else:
-    os.environ['OPENBLAS_NUM_THREADS'] = sys.argv[2]
-code = main(['solve', '--seeds', '100', '--out-dir', sys.argv[1]])
-assert code == 0, code
-import numpy as np
-try:
-    blas = np.show_config(mode='dicts')['Build Dependencies']['blas']['name']
-except (TypeError, KeyError):  # a numpy older than 1.25
-    blas = None
-task = '/proc/self/task'
-print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), blas,
-                  len(os.listdir(task)) if os.path.isdir(task) else None]))
-"""
-
-
-def _blas_probe(tmp_path, value: str) -> list:
-    done = run_python(_BLAS_PROBE, str(tmp_path), value)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
-
-
-def test_solve_asks_openblas_for_one_thread(tmp_path):
-    # the sweep makes no BLAS call, so before it first imports numpy, solve
-    # asks OpenBLAS to start no worker threads
-    value, blas, threads = _blas_probe(tmp_path, "-")
-    assert value == "1"
-    if "openblas" in (blas or "") and threads is not None:
-        assert threads == 1
-
-
-def test_solve_keeps_a_set_openblas_thread_count(tmp_path):
-    assert _blas_probe(tmp_path, "2")[0] == "2"
-
-
 def test_default_solve_leaves_the_environment(tmp_path):
     # a fresh process: solve without --seeds runs no sweep, so it loads no
     # numpy and sets no OpenBLAS thread count
@@ -233,16 +179,6 @@ def test_default_solve_leaves_the_environment(tmp_path):
     assert done.stdout.splitlines()[-1] == "0 False False"
 
 
-def test_solve_leaves_the_environment_once_numpy_is_loaded(tmp_path,
-                                                            monkeypatch):
-    # numpy has loaded in this process, so OpenBLAS has read its setting
-    # already; a caller in process keeps its environment unchanged
-    assert "numpy" in sys.modules
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert main(["solve", "--seeds", "50", "--out-dir", str(tmp_path)]) == 0
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-
-
 def _absolute_imports(tree: ast.Module) -> set[str]:
     """Top-level names of the modules that tree imports by absolute name."""
     found = set()
@@ -255,13 +191,12 @@ def _absolute_imports(tree: ast.Module) -> set[str]:
 
 
 def test_verifier_imports_no_numpy():
-    # numpy, the one declared runtime dependency, serves the solver alone;
-    # every other module imports only the standard library and the package
+    # the package declares no runtime dependency: every module imports only
+    # the standard library and the package
     imported = {name: _absolute_imports(tree) for name, tree in MODULES.items()}
     outside = {name: found - sys.stdlib_module_names - {"unitdist"}
                for name, found in imported.items()}
-    assert {name: found for name, found in outside.items() if found} == \
-        {"solver": {"numpy"}}
+    assert {name: found for name, found in outside.items() if found} == {}
     assert "math" in imported["verifier"]
 
 
