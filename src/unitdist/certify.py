@@ -17,7 +17,8 @@ arithmetic:
   (p, q) and D != 0, and is not a root of the h in {0, 2} branch.
 
 So the system has exactly four real roots, and exactly two with h > 0 and
-k > 0.  Each root of T is bisected to a 2**-120-wide interval, and every
+k > 0.  Each root of T is separated from the other by the Sturm chain,
+then bisected by the sign of T to a 2**-120-wide interval, and every
 coordinate, a rational function of h, is enclosed over it by interval
 Horner evaluation; it is accepted only when its enclosure rounds to one
 float64, which is then the correctly rounded coordinate.  Any step that
@@ -185,15 +186,29 @@ def _variations(chain, x):
 def _isolate(chain, lo, hi, vlo, vhi):
     """Intervals (a, b] of (lo, hi], in units of 2**-_BITS, one unit wide
     and each holding one root of chain[0]; vlo and vhi are the sign
-    changes at lo and hi."""
+    changes at lo and hi.  The chain counts and separates the roots; an
+    interval that holds one root, a sign change of the squarefree
+    chain[0], is halved by chain[0]'s sign alone."""
     if vlo == vhi:
         return []
-    if vlo - vhi == 1 and hi - lo <= 1:
-        return [(lo, hi)]
-    mid = (lo + hi) // 2
-    vmid = _variations(chain, mid)
-    return (_isolate(chain, lo, mid, vlo, vmid)
-            + _isolate(chain, mid, hi, vmid, vhi))
+    if vlo - vhi != 1:
+        mid = (lo + hi) // 2
+        vmid = _variations(chain, mid)
+        return (_isolate(chain, lo, mid, vlo, vmid)
+                + _isolate(chain, mid, hi, vmid, vhi))
+    t = chain[0]
+    sign = _eval(t, lo, _BITS)
+    if not sign:
+        raise CertificateError(
+            "T is 0 at the lower end of an isolating interval")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        v = _eval(t, mid, _BITS)
+        if v and (v > 0) == (sign > 0):
+            lo = mid
+        else:
+            hi = mid
+    return [(lo, hi)]
 
 
 def _rounded(num, den, lo, hi):

@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for output artifacts (default: %(default)s)")
     solving = argparse.ArgumentParser(add_help=False)
     solving.add_argument("--seeds", type=_number(), default=None,
-                         help="find the roots by a Newton sweep from this "
+                         help="find the roots by multistart Newton from this "
                               "many random starts (default: exact "
                               "elimination, which proves the list complete)")
     solving.add_argument("--rng-seed", type=_number(zero_ok=True), default=0,

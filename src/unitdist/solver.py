@@ -70,7 +70,9 @@ def _max_norm(f) -> float:
 
 
 def _larger(a: float, b: float) -> float:
-    """The larger of two floats, for _step_terms: builtin max costs more."""
+    """The larger of two floats, for _step_terms: builtin max costs more.
+    It is the reference for the x if x > y else y that _newton_scalar
+    computes inline, NaN included."""
     return a if a > b else b
 
 
@@ -90,6 +92,10 @@ def _step_terms(h, k, p, q, f1, f2, f3, f4):
     of K makes det K NaN and the test False whatever the maxima, so
     _larger may drop a NaN.  Returns the four numerators of adj(K) r,
     det K and the singular verdict.
+
+    This is the reference copy of the step, which the tests hold to
+    LAPACK.  The copy that runs is inline in _newton_scalar: the same
+    operations in the same order, held to this one bit for bit.
     """
     r0, r1, r2, r3 = -0.5 * f1, -0.5 * f2, -0.5 * f3, -1.0 * f4
     a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
@@ -145,25 +151,51 @@ def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
     Each step is the closed-form Newton step of _step_terms, damped by the
     first of 1, 1/2, ..., 2**-20 that lowers the residual max-norm.  The
     status is CONVERGED once that norm is <= DEFAULT_TOL, SINGULAR (see
-    _step_terms), STALLED when no damping lowers the norm, or BUDGET.  A
-    trial computes _residuals' expressions one at a time, f1 (which needs
-    only h and k), f4, f2, f3, and fails at the first that is not below
-    the norm; that early stop is why it does not call _residuals."""
+    _step_terms), STALLED when no damping lowers the norm, or BUDGET.
+
+    It computes each step inline, with the operations of _step_terms
+    and _larger in their order: their calls and the tuple they return
+    cost about a sixth of a newton_solve call.  _step_terms is the
+    reference, and the tests hold this copy to it bit for bit.  Likewise
+    a trial computes _residuals' expressions one at a time, f1 (which
+    needs only h and k), f4, f2, f3, and fails at the first that is not
+    below the norm."""
     h, k, p, q = map(float, start)
-    f = _residuals(h, k, p, q)
+    f1, f2, f3, f4 = f = _residuals(h, k, p, q)
     fn = _max_norm(f)
     for _ in range(DEFAULT_MAX_ITER):
         if fn <= DEFAULT_TOL:
             return (h, k, p, q), CONVERGED
-        (n0, n1, n2, n3), det, singular = _step_terms(h, k, p, q, *f)
-        if singular:
+        # _step_terms(h, k, p, q, f1, f2, f3, f4), inline
+        r0, r1, r2, r3 = -0.5 * f1, -0.5 * f2, -0.5 * f3, -1.0 * f4
+        a, b, c, d = q - k + 1.0, p + h - 1.0, p - 0.5 * h, q + 0.5 * k
+        ab, ac, bd, pq = a * b, a * c, b * d, p * q
+        cq, dp, ck, dh = c * q, d * p, c * k, d * h
+        ac2, bd2 = ac + ac, bd + bd
+        g = pq - 3.0 * ab
+        a0 = d * g + ac2 * q
+        a1 = c * g + bd2 * p
+        det = h * a0 + k * a1
+        # each factor is _larger(x, y), NaN included
+        scale = ((x if (x := abs(h)) > (y := abs(k)) else y)
+                 * (x if (x := abs(a)) > (y := abs(p)) else y)
+                 * (x if (x := abs(b)) > (y := abs(q)) else y)
+                 * (x if (x := abs(c)) > (y := abs(d)) else y))
+        if abs(det) <= 2.0 * _SINGULAR_DET * scale:
             return (h, k, p, q), SINGULAR
         if not det:
             # only a NaN row-maxima product (0 times inf) lets a zero det
             # pass the test; the step would be all inf or NaN, and every
             # trial would have a residual norm of inf or NaN
             return (h, k, p, q), STALLED
-        sh, sk, sp, sq = n0 / det, n1 / det, n2 / det, n3 / det
+        e = 2.0 * (r1 * (cq - bd) + r2 * (dp - ac)) + r3 * (ab - pq)
+        u = ck + dh
+        sh = (a0 * r0 + k * e) / det
+        sk = (a1 * r0 - h * e) / det
+        sp = (a * ((bd2 + bd + cq) * r0 - (u + dh + dh) * r2
+                   + (h * q - b * k) * r3) + (bd2 * k + q * u) * r1) / det
+        sq = (b * ((p * k - a * h) * r3 - (ac2 + ac + dp) * r0
+                   - (u + ck + ck) * r1) + (ac2 * h + p * u) * r2) / det
         for damping in _DAMPINGS:
             # _max_norm(f) < fn, one residual at a time, each with the
             # operations of _residuals: a NaN fails both
@@ -180,8 +212,16 @@ def _newton_scalar(start) -> tuple[tuple[float, ...], int]:
                 break
         else:
             return (h, k, p, q), STALLED
-        h, k, p, q, f = th, tk, tp, tq, (f1, f2, f3, f4)
-        fn = max(abs(f1), abs(f2), abs(f3), abs(f4))  # f holds no NaN here
+        # the accepted trial set f1..f4, none of them NaN; fn is their
+        # max-norm, without the cost of a call to builtin max
+        h, k, p, q = th, tk, tp, tq
+        fn = abs(f1)
+        if fn < (x := abs(f2)):
+            fn = x
+        if fn < (x := abs(f3)):
+            fn = x
+        if fn < (x := abs(f4)):
+            fn = x
     return (h, k, p, q), CONVERGED if fn <= DEFAULT_TOL else BUDGET
 
 

@@ -116,3 +116,56 @@ def test_an_enclosure_that_spans_two_floats_raises():
     with pytest.raises(CertificateError, match="spans the floats"):
         certify._rounded([0, 1], [1], one, one + (one >> 52))
     assert certify._rounded([0, 1], [1], one, one + 1) == 1.0
+
+
+UNIT = 1 << certify._BITS  # 1 in units of 2**-_BITS
+
+
+def _sturm_chain(t):
+    """The Sturm chain of t, as certified_roots builds it."""
+    chain = [t, certify._trim([i * c for i, c in enumerate(t)][1:])]
+    while len(chain[-1]) > 1:
+        chain.append(certify._add([], certify._rem(chain[-2], chain[-1]), -1))
+    return chain
+
+
+def _isolate_by_chain(chain, lo, hi, vlo, vhi):
+    """_isolate bisecting by the whole Sturm chain down to unit width: the
+    oracle for its intervals."""
+    if vlo == vhi:
+        return []
+    if vlo - vhi == 1 and hi - lo <= 1:
+        return [(lo, hi)]
+    mid = (lo + hi) // 2
+    vmid = certify._variations(chain, mid)
+    return (_isolate_by_chain(chain, lo, mid, vlo, vmid)
+            + _isolate_by_chain(chain, mid, hi, vmid, vhi))
+
+
+def _chain_and_ends(t):
+    chain = _sturm_chain(t)
+    ends = [certify._variations(chain, x) for x in (-4 * UNIT, 4 * UNIT)]
+    return chain, -4 * UNIT, 4 * UNIT, *ends
+
+
+# on (-4, 4]: T and S, (3h - 1)(5h + 2)(7h - 4), and 2h - 1 and
+# (2h - 1)(3h + 1), whose root 1/2 is a midpoint of the bisection by T's
+# sign, so that T is 0 there
+@pytest.mark.parametrize("t", [list(T_OF_H), list(S_OF_Q), [8, -18, -53, 105],
+                               [-1, 2], [-1, -1, 6]],
+                         ids=["T", "S", "three-roots", "half", "half-third"])
+def test_isolation_by_sign_gives_the_chain_bisection_intervals(t):
+    args = _chain_and_ends(t)
+    got = certify._isolate(*args)
+    assert got == _isolate_by_chain(*args)
+    assert len(got) == args[3] - args[4]
+    assert all(hi - lo == 1 for lo, hi in got)
+
+
+def test_a_root_at_the_lower_end_of_an_isolating_interval_raises():
+    # (4h - 1)(2h - 1): the chain separates the roots at the bisection
+    # point 1/4, so 1/2 is isolated in (1/4, 1/2], where T(1/4) = 0
+    args = _chain_and_ends([1, -6, 8])
+    assert len(_isolate_by_chain(*args)) == 2
+    with pytest.raises(CertificateError, match="T is 0 at the lower end"):
+        certify._isolate(*args)

@@ -1,5 +1,6 @@
 """Residuals, Jacobians, Newton iteration, and root enumeration."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -118,11 +119,17 @@ class TestNewtonSolve:
             newton_solve(seed)
 
 
-def _lapack_singular(row):
-    """The singular test on the row-equilibrated Jacobian, through LAPACK."""
+def _scaled_det(row):
+    """|det| of the Jacobian at row, each row scaled by its max-abs entry,
+    through LAPACK; 0 when a row is zero."""
     jac = jacobian(RhombusParams(*row))
     scale = np.abs(jac).max(axis=1, keepdims=True)
-    return not scale.all() or abs(np.linalg.det(jac / scale)) < 1e-14
+    return abs(np.linalg.det(jac / scale)) if scale.all() else 0.0
+
+
+def _lapack_singular(row):
+    """The singular test on the row-equilibrated Jacobian."""
+    return _scaled_det(row) < 1e-14
 
 
 def _closed_form(row):
@@ -130,6 +137,39 @@ def _closed_form(row):
     singular verdict."""
     numerators, det, singular = solver._step_terms(*row, *solver._residuals(*row))
     return (None if singular else [n / det for n in numerators]), singular
+
+
+@functools.cache
+def _near_singular_rows():
+    """Rows on both sides of the singular threshold.
+
+    Bisect det J along random segments whose ends differ in sign: the
+    limits are numerically singular; a 1e-9 move along the segment makes
+    the scaled determinant about 1e-9, far above 1e-14.  The scaled
+    determinant is about linear in the move, which places two more rows
+    where it is 0.7e-14 and 1.4e-14, on either side of the threshold and
+    of a threshold twice or half as large."""
+    rng = np.random.default_rng(32)
+    rows = []
+    for _ in range(200):
+        lo, hi = rng.uniform(-3.0, 3.0, (2, 4))
+        sign_lo = np.linalg.det(jacobian(RhombusParams(*lo.tolist())))
+        if sign_lo * np.linalg.det(jacobian(RhombusParams(*hi.tolist()))) >= 0:
+            continue
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if np.linalg.det(jacobian(RhombusParams(*mid.tolist()))) * sign_lo > 0:
+                lo = mid
+            else:
+                hi = mid
+        step = (lo - hi) / np.abs(lo - hi).max()
+        rows += [lo.tolist(), (lo + 1e-9 * step).tolist()]
+        slope = _scaled_det(lo + 1e-9 * step) / 1e-9
+        for target in 0.7e-14, 1.4e-14:
+            row = lo + target / slope * step
+            if abs(_scaled_det(row) - target) < 0.1e-14:
+                rows.append(row.tolist())
+    return tuple(map(tuple, rows))
 
 
 EXACTLY_SINGULAR = [
@@ -154,23 +194,7 @@ class TestClosedFormStep:
             assert np.abs(np.array(got) - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_singular_verdict_matches_lapack_determinant(self):
-        # bisect det J along random segments whose ends differ in sign: the
-        # limits are numerically singular; a 1e-9 move along the segment
-        # makes the scaled determinant about 1e-9, far above 1e-14
-        rng = np.random.default_rng(32)
-        rows = []
-        for _ in range(200):
-            lo, hi = rng.uniform(-3.0, 3.0, (2, 4))
-            sign_lo = np.linalg.det(jacobian(RhombusParams(*lo.tolist())))
-            if sign_lo * np.linalg.det(jacobian(RhombusParams(*hi.tolist()))) >= 0:
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if np.linalg.det(jacobian(RhombusParams(*mid.tolist()))) * sign_lo > 0:
-                    lo = mid
-                else:
-                    hi = mid
-            rows += [lo.tolist(), (lo + 1e-9 * (lo - hi) / np.abs(lo - hi).max()).tolist()]
+        rows = _near_singular_rows()
         verdicts = [_lapack_singular(row) for row in rows]
         assert 20 <= sum(verdicts) < len(verdicts)
         assert [_closed_form(row)[1] for row in rows] == verdicts
@@ -288,6 +312,10 @@ def test_scalar_driver_matches_the_reference_on_box_starts():
 def test_scalar_driver_matches_the_reference_on_singular_and_nonfinite_starts():
     _assert_scalar_driver_matches_the_reference(EXACTLY_SINGULAR
                                                 + NONFINITE_STARTS)
+
+
+def test_scalar_driver_matches_the_reference_on_near_singular_starts():
+    _assert_scalar_driver_matches_the_reference(_near_singular_rows())
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
