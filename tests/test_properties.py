@@ -429,6 +429,13 @@ def translated(draw):
 # window, so verify scans every pair
 @example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
     (0.0, 0.0), (1.0, 0.0), (10.0, 0.0), (11.0, 0.0))))
+# two adjacent edges that fold back over each other: they overlap through
+# their shared endpoint, which passes the inline near-line tests
+@example(drawing=Drawing(Graph(3, ((0, 1), (1, 2))),
+                         ((0.0, 0.0), (1.0, 0.0), (0.5, 0.0))))
+# two adjacent edges that continue in a straight line: collinear, no overlap
+@example(drawing=Drawing(Graph(3, ((0, 1), (1, 2))),
+                         ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))))
 @given(drawing=st.one_of(drawings(grid), pushed(), translated(), drawings()))
 def test_verify_matches_scalar_scans(drawing):
     assert verify(drawing) == _scalar_verify(drawing)
@@ -436,9 +443,11 @@ def test_verify_matches_scalar_scans(drawing):
 
 @pytest.mark.parametrize("n, s, sign", [
     (n, s, sign)
-    # every GP(n, s) of perfbench's family with a circular drawing, and more
+    # every GP(n, s) of perfbench's family with a circular drawing, and more;
+    # GP(128, 1)'s coincident rings send many overlapping pairs to the
+    # predicates
     for n, s in ((5, 2), (7, 2), (8, 3), (9, 4), (10, 2), (10, 3), (16, 1),
-                 (32, 1), (64, 1))
+                 (32, 1), (64, 1), (128, 1))
     for sign in (1, -1)])
 def test_verify_matches_scalar_scans_on_circular_drawings(n, s, sign):
     # equal distances of a symmetric drawing round apart by an ulp or two

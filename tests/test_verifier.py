@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (MIN_NONEDGE_GAP, MIN_NONEDGE_GAP_ORBIT,
                       MIN_VERTEX_SEPARATION)
-from unitdist.graph import Graph
+from unitdist import verifier
+from unitdist.configuration import build_point_circle
+from unitdist.graph import Graph, bipartition
 from unitdist.layout import Drawing, circular_layout, rhombus_layout
 from unitdist.solver import RhombusParams
 from unitdist.verifier import (COINCIDENT_VERTICES,
                                COLLINEAR_OVERLAPPING_EDGES,
+                               DEFAULT_DEGENERACY_TOL,
                                VERTEX_ON_EDGE_INTERIOR,
                                point_on_segment_interior, segments_overlap,
                                verify)
@@ -310,3 +313,119 @@ def test_screen_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _near_line_rejects(a1, b1, a2, b2):
+    """verify's inline rejection of an edge pair, copied: an end of segment
+    2 fails segment 1's near-line test, by segments_overlap's operations."""
+    tol = DEFAULT_DEGENERACY_TOL
+    (ax, ay), (bx, by) = a1, b1
+    ux, uy = bx - ax, by - ay
+    length = math.hypot(ux, uy)
+    (cx, cy), (dx, dy) = a2, b2
+    return not (abs(ux * (cy - ay) - uy * (cx - ax)) / length < tol
+                and abs(ux * (dy - ay) - uy * (dx - ax)) / length < tol)
+
+
+def _interior_rejects(pt, a, b):
+    """verify's inline rejection of a vertex/edge pair, copied: the
+    projection parameter t fails point_on_segment_interior's
+    tol < t < 1 - tol."""
+    tol = DEFAULT_DEGENERACY_TOL
+    (ax, ay), (bx, by) = a, b
+    ux, uy = bx - ax, by - ay
+    t = ((pt[0] - ax) * ux + (pt[1] - ay) * uy) / (ux * ux + uy * uy)
+    return not tol < t < 1.0 - tol
+
+
+def _soundness_points(rng, count):
+    """count point 4-tuples: random, near-collinear (offsets 0, +-1e-10 and
+    3e-9 off a line), sharing an endpoint, and each kind translated by
+    +-2**k."""
+    offsets = (0.0, 1e-10, -1e-10, 3e-9)
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 3
+        if kind == 0:
+            pts = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(4)]
+        elif kind == 1:
+            x0, y0 = rng.uniform(-4, 4), rng.uniform(-4, 4)
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            ux, uy = math.cos(theta), math.sin(theta)
+            pts = []
+            for _ in range(4):
+                t, off = rng.uniform(-3, 3), rng.choice(offsets)
+                pts.append((x0 + t * ux - off * uy, y0 + t * uy + off * ux))
+        else:
+            a, b, c = [(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                       for _ in range(3)]
+            first = [a, b] if rng.random() < 0.5 else [b, a]
+            pts = first + ([b, c] if rng.random() < 0.5 else [c, b])
+        cases.append(tuple(pts))
+        shift = rng.choice((-1, 1)) * 2.0 ** rng.randint(0, 40)
+        cases.append(tuple((x + shift, y - shift) for x, y in pts))
+    return cases
+
+
+def test_inline_rejection_implies_the_predicate_is_false():
+    # wherever verify's inline first tests drop a candidate, the predicate
+    # it would have called returns False, in either argument order
+    rng = random.Random(0)
+    tol = DEFAULT_DEGENERACY_TOL
+    rejected = kept = 0
+    for a1, b1, a2, b2 in _soundness_points(rng, 12_000):
+        if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
+            continue
+        for first, second in (((a1, b1), (a2, b2)), ((a2, b2), (a1, b1))):
+            if _near_line_rejects(*first, *second):
+                rejected += 1
+                assert not segments_overlap(*first, *second)
+                assert not segments_overlap(*second, *first)
+            else:
+                kept += 1
+        for pt in (a2, b2, ((a2[0] + b2[0]) / 2, (a2[1] + b2[1]) / 2)):
+            if _interior_rejects(pt, a1, b1):
+                rejected += 1
+                assert not point_on_segment_interior(pt, a1, b1)
+            else:
+                kept += 1
+    assert rejected > 10_000 and kept > 10_000
+
+
+class TestReportCache:
+    @pytest.fixture
+    def fresh(self, faithful_drawing):
+        # a Drawing object no other test has verified
+        return Drawing(faithful_drawing.graph, faithful_drawing.positions)
+
+    def test_same_object_returns_the_stored_report(self, fresh):
+        assert verify(fresh) is verify(fresh)
+
+    def test_equal_drawing_gets_an_equal_report(self, fresh):
+        report = verify(fresh)
+        copy = Drawing(fresh.graph, fresh.positions)
+        assert copy is not fresh
+        assert verify(copy) == report
+
+    def test_another_drawing_evicts_the_report(self, fresh):
+        report = verify(fresh)
+        verify(circular_layout(8, 3))
+        again = verify(fresh)
+        assert again is not report and again == report
+
+    def test_build_point_circle_after_verify_runs_no_second_sweep(
+            self, fresh, monkeypatch):
+        calls = []
+        sweep = verifier._segment_pairs
+
+        def counting(*args):
+            calls.append(1)
+            return sweep(*args)
+
+        monkeypatch.setattr(verifier, "_segment_pairs", counting)
+        assert verify(fresh).is_faithful
+        assert len(calls) == 1
+        bp = bipartition(fresh.graph)
+        build_point_circle(fresh, bp, "a")
+        build_point_circle(fresh, bp, "b")
+        assert len(calls) == 1
