@@ -198,8 +198,7 @@ def _layout(args, params: RhombusParams) -> dict[str, Drawing]:
     return drawings
 
 
-def _verify(args, name: str, drawing: Drawing) -> FaithfulnessReport:
-    report = verify(drawing)
+def _report(args, name: str, report: FaithfulnessReport) -> FaithfulnessReport:
     _write(args.out_dir / f"{name}_report.json", dumps(report.to_json_dict()))
     print(_report_table(name, report))
     return report
@@ -266,7 +265,7 @@ def cmd_layout(args) -> int:
 def cmd_verify(args) -> int:
     names = _names(args.drawings, "_report.json")
     drawings = [_read(path, _VERIFIABLE) for path in args.drawings]
-    reports = [_verify(args, name, d) for name, d in zip(names, drawings)]
+    reports = [_report(args, name, verify(d)) for name, d in zip(names, drawings)]
     return EXIT_OK if all(r.is_faithful for r in reports) else EXIT_VERDICT
 
 
@@ -291,9 +290,13 @@ def cmd_all(args) -> int:
               file=sys.stderr)
         return EXIT_VERDICT
     drawings = _layout(args, solutions[0])
-    reports = {name: _verify(args, name, d) for name, d in drawings.items()}
+    # the circular drawing first, so that the rhombus drawing's report is
+    # the one verify keeps when _config builds centres a
+    circular = verify(drawings["circular"])
+    rhombus = _report(args, "drawing", verify(drawings["drawing"]))
+    _report(args, "circular", circular)
     _render(args, drawings.items())
-    if not reports["drawing"].is_faithful:
+    if not rhombus.is_faithful:
         print("stage verify failed: rhombus drawing is not faithful",
               file=sys.stderr)
         return EXIT_VERDICT

@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 
 from ._jsonfmt import json_number
-from .graph import Graph, generalized_petersen
+from .graph import Graph, _check_gp, generalized_petersen
 
 
 class RhombusParams(namedtuple("RhombusParams", "h k p q")):
@@ -106,7 +106,7 @@ def circular_layout(n: int, s: int, rotation_sign: int = -1) -> Drawing:
     """
     if rotation_sign not in (1, -1):
         raise ValueError("rotation_sign must be +1 or -1")
-    g = generalized_petersen(n, s)  # validates n, s
+    _check_gp(n, s)
     big_r, small_r = circular_radii(n, s)
     cos_alpha = (big_r * big_r + small_r * small_r - 1.0) / (2.0 * big_r * small_r)
     if abs(cos_alpha) > 1.0 + 1e-12:
@@ -121,4 +121,4 @@ def circular_layout(n: int, s: int, rotation_sign: int = -1) -> Drawing:
     for j in range(n):
         angle = math.pi / 2 + 2.0 * math.pi * j / n + rotation_sign * alpha
         positions.append((small_r * math.cos(angle), small_r * math.sin(angle)))
-    return Drawing(g, tuple(positions))
+    return Drawing(generalized_petersen(n, s), tuple(positions))

@@ -148,19 +148,23 @@ def verify(d: Drawing) -> FaithfulnessReport:
     solid_edges: list[tuple[int, int]] = []
     boxes = []  # (x0, x1, y0, y1, k, ax, ay, bx, by, ux, uy, |u|, |u|**2, a, b)
     for i, j in d.graph.edges:  # in lexicographic order
-        dist = math.dist(pos[i], pos[j])
+        a, b = pos[i], pos[j]
+        dist = math.dist(a, b)
         res = abs(dist - 1.0)
         if res > max_edge_residual or edge_witness is None:
             max_edge_residual, edge_witness = res, (i, j)
         # Degenerate (zero-length) edges are reported as coincident
         # vertices; skip them in the segment predicates below.
         if dist > tol:
-            (ax, ay), (bx, by) = pos[i], pos[j]
+            (ax, ay), (bx, by) = a, b
             ux, uy = bx - ax, by - ay
-            boxes.append((min(ax, bx) - slack, max(ax, bx) + slack,
-                          min(ay, by) - slack, max(ay, by) + slack,
+            x0, x1 = (bx, ax) if bx < ax else (ax, bx)
+            y0, y1 = (by, ay) if by < ay else (ay, by)
+            # dist is math.hypot(ux, uy), as the predicates' |u|: both take
+            # the norm of b - a
+            boxes.append((x0 - slack, x1 + slack, y0 - slack, y1 + slack,
                           len(solid_edges), ax, ay, bx, by, ux, uy,
-                          math.hypot(ux, uy), ux * ux + uy * uy, pos[i], pos[j]))
+                          dist, ux * ux + uy * uy, a, b))
             solid_edges.append((i, j))
 
     order = sorted(range(n), key=lambda v: pos[v][0])

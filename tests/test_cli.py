@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import run_python
-from unitdist import cli
+from unitdist import cli, verifier
 from unitdist._jsonfmt import dumps
 from unitdist.cli import main
 from unitdist.configuration import ConfigurationCheck
@@ -223,6 +223,21 @@ class TestAll:
         for e in entries:
             f = _residuals(e["h"], e["k"], e["p"], e["q"])
             assert e["residual_max"] == _max_norm(f), e
+
+    def test_each_drawing_is_swept_once(self, tmp_path, monkeypatch):
+        # the solver verifies its two roots' drawings and all the circular
+        # drawing, then the rhombus one, whose stored report centres a and b
+        # reuse: 4 sweeps for 6 verify calls
+        sweeps = []
+        segment_pairs = verifier._segment_pairs
+
+        def counting_segment_pairs(*args):
+            sweeps.append(len(args[0]))
+            return segment_pairs(*args)
+
+        monkeypatch.setattr(verifier, "_segment_pairs", counting_segment_pairs)
+        assert main(["all", "--out-dir", str(tmp_path)]) == 0
+        assert sweeps == [16, 16, 16, 16]
 
     def test_unfaithful_drawing_stops_before_config(self, tmp_path, capsys,
                                                     monkeypatch):

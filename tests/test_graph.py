@@ -363,6 +363,29 @@ class TestAutomorphismCount:
         assert automorphism_count(generalized_petersen(n, 1)) == 4 * n
         assert len(calls) <= 12
 
+    @pytest.mark.parametrize("n,count", [(40, 80), (100, 200)])
+    def test_a_rejection_skips_its_orbit(self, monkeypatch, n, count):
+        # GP(n, 3) is not vertex-transitive for these n: its inner vertices
+        # fail the outer root's profile test, and the automorphisms found
+        # among the outer vertices carry one rejection to a whole orbit of
+        # inner ones (screened one by one: 46 and 106 BFS rows, 42 and 102
+        # profiles)
+        rows, profiles = [], []
+
+        def counting_bfs(adj, source):
+            rows.append(source)
+            return _bfs(adj, source)
+
+        def counting_profile(adj, dist):
+            profiles.append(dist)
+            return _path_profile(adj, dist)
+
+        monkeypatch.setattr(graph, "_bfs", counting_bfs)
+        monkeypatch.setattr(graph, "_path_profile", counting_profile)
+        assert automorphism_count(generalized_petersen(n, 3)) == count
+        assert len(rows) <= 16
+        assert len(profiles) <= 4
+
     def test_identity_always_counted(self):
         g = Graph(5, ((0, 1), (1, 2), (1, 3), (3, 4)))
         assert automorphism_count(g) >= 1

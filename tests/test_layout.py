@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_6DP
+from unitdist import layout
 from unitdist.graph import Graph, generalized_petersen
 from unitdist.layout import (Drawing, InfeasibleLayoutError, circular_layout,
                              circular_radii, rhombus_layout)
@@ -150,6 +151,27 @@ class TestCircularLayout:
         # GP(12,5): R - r > 1, no real rotation angle
         with pytest.raises(InfeasibleLayoutError):
             circular_layout(12, 5)
+
+    def test_infeasible_case_builds_no_graph(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(layout, "generalized_petersen",
+                            lambda n, s: calls.append((n, s)))
+        with pytest.raises(InfeasibleLayoutError):
+            circular_layout(12, 5)
+        assert calls == []
+
+    @pytest.mark.parametrize("n,s,message", [
+        (2, 1, "GP(n, s) needs n >= 3, got n=2"),
+        (8, 0, "GP(n, s) needs 1 <= s < n/2, got n=8, s=0"),
+        (8, 4, "GP(n, s) needs 1 <= s < n/2, got n=8, s=4"),
+    ])
+    def test_invalid_n_s_raise_generalized_petersens_error(self, n, s, message):
+        # checked before the radii, where s = 0 would divide by zero
+        for build in (generalized_petersen, circular_layout):
+            with pytest.raises(ValueError) as info:
+                build(n, s)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
 
     def test_rejects_bad_rotation_sign(self):
         with pytest.raises(ValueError):
