@@ -7,8 +7,9 @@ so floats are always written with 17 significant digits (enough for an
 exact float64 round trip).  Non-finite floats become null.
 
 json_number and json_index check every number read from an artifact, in the
-solutions reader and the Graph, Drawing and IncidenceStructure constructors:
-a string or boolean is neither a number nor an index; numbers are finite.
+solutions reader and the Graph, Drawing and IncidenceStructure constructors
+(the last two through json_points): a string or boolean is neither a number
+nor an index; numbers are finite.
 """
 
 from __future__ import annotations
@@ -26,6 +27,17 @@ def json_number(value) -> float:
     if not math.isfinite(number):
         raise ValueError(f"non-finite number {number}")
     return number
+
+
+def json_points(points) -> tuple[tuple[float, float], ...]:
+    """Each (x, y) pair as a pair of finite floats, as json_number gives them.
+
+    An exact float with x - x == 0.0, which inf and nan fail, is already
+    json_number's result and passes unchanged; anything else goes through it.
+    """
+    return tuple((x if type(x) is float and x - x == 0.0 else json_number(x),
+                  y if type(y) is float and y - y == 0.0 else json_number(y))
+                 for x, y in points)
 
 
 def json_index(value) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 
-from ._jsonfmt import json_index, json_number
+from ._jsonfmt import json_index, json_number, json_points
 from .graph import Bipartition, Graph
 from .layout import Drawing
 from .verifier import verify
@@ -40,8 +40,7 @@ class IncidenceStructure(namedtuple(
                 centers: tuple[tuple[float, float], ...],
                 incidence: tuple[tuple[int, int], ...],
                 point_labels: tuple[int, ...], circle_labels: tuple[int, ...]):
-        points, centers = (tuple((json_number(x), json_number(y)) for x, y in xys)
-                           for xys in (points, centers))
+        points, centers = json_points(points), json_points(centers)
         point_labels = tuple(map(json_index, point_labels))
         circle_labels = tuple(map(json_index, circle_labels))
         incidence = tuple(sorted((json_index(pl), json_index(cl))

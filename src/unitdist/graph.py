@@ -59,11 +59,14 @@ class Graph(namedtuple("Graph", "n_vertices edges")):
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple for every vertex."""
+        # edges are sorted pairs (u, v), u < v, in lexicographic order, so
+        # each vertex gets its smaller neighbours first, in ascending order,
+        # then its larger ones, also ascending
         nbrs: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -257,11 +260,14 @@ def automorphism_count(g: Graph) -> int:
     keys = list(zip(*map(row, order[:b])))      # keys[v]: v's distances to the base
 
     # anchor[i]: the position of order[i]'s BFS parent, its neighbour mapped
-    # first; None for a component root, which may map anywhere.
-    anchor: list[int | None] = []
+    # first; None for a component root, which may map anywhere.  Walking
+    # order once, the first earlier neighbour to reach a vertex is its parent.
+    anchor: list[int | None] = [None] * n
     for i, v in enumerate(order):
-        j = min((pos[u] for u in adj[v]), default=i)
-        anchor.append(j if j < i else None)
+        for u in adj[v]:
+            k = pos[u]
+            if k > i and anchor[k] is None:
+                anchor[k] = i
 
     # mapped[i] is the image of order[i], -1 while unmapped, and
     # image_rows[i] its distance row once mapped.  Between searches the

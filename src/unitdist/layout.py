@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._jsonfmt import json_number
+from ._jsonfmt import json_points
 from .graph import Graph, _check_gp, generalized_petersen
 
 
@@ -37,7 +37,7 @@ class Drawing(namedtuple("Drawing", "graph positions")):
     __slots__ = ()
 
     def __new__(cls, graph: Graph, positions: tuple[tuple[float, float], ...]):
-        pos = tuple((json_number(x), json_number(y)) for x, y in positions)
+        pos = json_points(positions)
         if len(pos) != graph.n_vertices:
             raise ValueError(f"expected {graph.n_vertices} positions, "
                              f"got {len(pos)}")

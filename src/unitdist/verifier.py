@@ -167,7 +167,8 @@ def verify(d: Drawing) -> FaithfulnessReport:
                           dist, ux * ux + uy * uy, a, b))
             solid_edges.append((i, j))
 
-    order = sorted(range(n), key=lambda v: pos[v][0])
+    xs = [p[0] for p in pos]
+    order = sorted(range(n), key=xs.__getitem__)
     sep, gap, coincident = _vertex_pairs(pos, order, d.graph.edge_set, slack)
     on_edge, overlapping = _segment_pairs(pos, order, sorted(boxes))
 
@@ -197,16 +198,22 @@ def _vertex_pairs(pos, order, edge_set, slack: float):
     """(sep, gap, coincident), order sorting the vertices by x.  A pair over
     2 apart in x or in y is over 2 apart, with a gap over 1, and 2 * slack
     covers the rounding of the window; so once it holds a separation <= 2
-    and a non-edge gap <= 1, no pair outside changes the report."""
+    and a non-edge gap <= 1, no pair outside changes the report.
+
+    The window is a FIFO queue: active only grows, and active[start:] holds
+    the vertices whose x + reach is at least the current x.  Rounding is
+    monotone, so x + reach does not decrease along order, and the entries
+    that expire are always a prefix of those still held."""
     tol = DEFAULT_DEGENERACY_TOL
     for reach in (2 + 2 * slack, math.inf):
         # (value, i, j); (inf,) sorts after any finite one, so inf sets no witness
         sep = gap = (math.inf,)
-        coincident, active = [], []
+        coincident, active, start = [], [], 0
         for v in order:
             x, y = pos[v]
-            active = [p for p in active if p[0] >= x]
-            for _, y_lo, y_hi, u in active:
+            while start < len(active) and active[start][0] < x:
+                start += 1
+            for _, y_lo, y_hi, u in active[start:]:
                 if y_lo <= y <= y_hi:
                     i, j = (u, v) if u < v else (v, u)
                     dist = math.dist(pos[i], pos[j])

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, idempotence."""
 
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,20 @@ ALL_ARTIFACTS = [
     "drawing.svg", "circular.svg",
     "config_centers_a.svg", "config_centers_b.svg",
 ]
+
+# sha256 of the artifacts of a default `unitdist all` that no trig function
+# reaches; circular.* take libm's cos, sin and acos, so they are compared
+# run against run only
+PINNED_SHA256 = {
+    "solutions.json": "e85742e5251bb87373d31f58a9f2a699fc7913d846a132a50fd481a159dc5903",
+    "drawing.json": "b4a3c77050726c9dac07cacd58c1449813f9c9f16cae553dde69a9702a2e0ca4",
+    "drawing_report.json": "258ba1bafd861dd879fe20e632d009002b33b4e7533d8c5b4bcd7f220fb9fd1c",
+    "config_centers_a.json": "e74980c17100747bff58d6babb719b2e2cb6014fcbd2d6d65a7a90c794fa0e56",
+    "config_centers_b.json": "3c740b1ec78489a4c6a1d6e0888890fa2002cda427bc20000d823241933e6817",
+    "drawing.svg": "8fc4425833f3c5be782ef98688ec662b6af8a4bd6889643c97e04806ffe4591e",
+    "config_centers_a.svg": "c9da1a26d6382229408ff13a2388ef3e06b5050a4b1de714c32f03b9e822c1d6",
+    "config_centers_b.svg": "ce6407433414d93cd857c6414034e482e32dcff24f8f85b77d2803816fb29cc5",
+}
 
 
 def _run_all(out_dir):
@@ -206,6 +221,12 @@ class TestAll:
         for name in ALL_ARTIFACTS:
             assert (tmp_path / name).read_bytes() == \
                 (pipeline_dir / name).read_bytes(), name
+
+    def test_default_artifacts_match_their_pinned_hashes(self, tmp_path):
+        assert main(["all", "--out-dir", str(tmp_path)]) == 0
+        hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in PINNED_SHA256}
+        assert hashes == PINNED_SHA256
 
     def test_json_artifacts_are_dumps_text(self, pipeline_dir):
         # each JSON file is dumps' text of its own content, byte for byte

@@ -148,6 +148,24 @@ class TestGraphType:
             assert u in g.adjacency[v]
         assert sum(len(nbrs) for nbrs in g.adjacency) == 2 * len(g.edges)
 
+    @PROPERTY
+    @given(data=st.data())
+    def test_adjacency_is_the_sorted_neighbour_lists(self, data):
+        # edges given in any order, either way round, on vertex sets with
+        # isolated vertices
+        n = data.draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen),
+                                   max_size=len(chosen)))
+        edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+        neighbours = [[] for _ in range(n)]
+        for u, v in edges:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        g = Graph(n, tuple(edges))
+        assert g.adjacency == tuple(tuple(sorted(ns)) for ns in neighbours)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, ((0, 0),))

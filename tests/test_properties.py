@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import REPORT_FIELDS
-from unitdist._jsonfmt import dumps
+from unitdist._jsonfmt import dumps, json_number, json_points
 from unitdist.cli import main
 from unitdist.configuration import (ConfigurationCheck, IncidenceStructure,
                                     build_point_circle, dual, levi_drawing,
@@ -162,6 +162,36 @@ def test_dumps_edge_cases():
         dumps({1: 0.5})
     with pytest.raises(TypeError, match="cannot serialize set"):
         dumps({"points": {1.0}})
+
+
+class _FloatSubclass(float):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.5, 7, -(10 ** 300),
+    _FloatSubclass(0.25), _FloatSubclass(-0.0)])
+def test_json_points_passes_json_numbers_float(value):
+    # the same bits, as a plain float, in either coordinate
+    want = json_number(value)
+    ((x, _),) = json_points([(value, 0.5)])
+    ((_, y),) = json_points([(0.5, value)])
+    for got in (x, y):
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, -math.nan, math.inf, -math.inf, True, False, "1.0", None,
+    10 ** 400, _FloatSubclass(math.nan), _FloatSubclass(math.inf)])
+def test_json_points_raises_json_numbers_error(value):
+    with pytest.raises(Exception) as want:
+        json_number(value)
+    for point in ((value, 0.5), (0.5, value)):
+        with pytest.raises(Exception) as got:
+            json_points([point])
+        assert got.type is want.type
+        assert str(got.value) == str(want.value)
 
 
 # float-free JSON values: ints of any size, any string, containers nested
