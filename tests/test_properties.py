@@ -12,6 +12,7 @@ import copy
 import io
 import json
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -466,9 +467,108 @@ def translated(draw):
 # two adjacent edges that continue in a straight line: collinear, no overlap
 @example(drawing=Drawing(Graph(3, ((0, 1), (1, 2))),
                          ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))))
+# overlapping vertical edges given in opposite orientations, exactly
+# vertical, then leaning either way of vertical, so that their direction
+# angles lie at +pi/2 and -pi/2, which meet only through the wrap
+@example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
+    (0.0, 0.0), (0.0, 1.0), (0.0, 1.5), (0.0, 0.5))))
+@example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
+    (0.0, 0.0), (1e-12, 1.0), (0.0, 1.5), (1e-12, 0.5))))
+# a 3e-9-long edge along a collinear edge: its direction window is not
+# small, so it pairs with every edge
+@example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
+    (0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.5 + 3e-9, 0.0))))
+# a vertex 0.5 tol off a near-vertical edge's interior
+@example(drawing=Drawing(Graph(3, ((0, 1),)), (
+    (0.0, 0.0), (1e-12, 1.0), (0.5e-9, 0.5))))
 @given(drawing=st.one_of(drawings(grid), pushed(), translated(), drawings()))
 def test_verify_matches_scalar_scans(drawing):
     assert verify(drawing) == _scalar_verify(drawing)
+
+
+def _bundle(rng, lines, edges):
+    """edges segments 0.5 to 3 long on lines parallel lines 0.7 apart, their
+    ends up to 3 tol off, some lines turned 1e-9 and a few 2e-8-long edges
+    on the way, in a random direction (or near vertical), shifted by up to
+    2**14, where an ulp is still well under tol: so more than 16 edges lie
+    in one run of near-parallel edges."""
+    tol = DEFAULT_DEGENERACY_TOL
+    theta = rng.choice((rng.uniform(0.0, math.pi), math.pi / 2 + 1e-12))
+    positions, pairs = [], []
+    for _ in range(edges):
+        line = rng.randrange(lines)
+        turn = theta + rng.choice((0.0, 1e-9)) * line
+        ux, uy = math.cos(turn), math.sin(turn)
+        start = rng.uniform(-3.0, 3.0)
+        ends = [start, start + rng.choice((-1, 1)) * rng.uniform(0.5, 3.0)]
+        for t in ends:
+            off = 0.7 * line + rng.uniform(-3.0, 3.0) * tol * rng.choice((0, 1))
+            positions.append((t * ux - off * uy, t * uy + off * ux))
+        pairs.append((len(positions) - 2, len(positions) - 1))
+        if rng.random() < 0.05:
+            x, y = positions[-1]
+            positions.append((x + 2e-8, y + 1e-8))
+            pairs.append((len(positions) - 2, len(positions) - 1))
+    shift = rng.choice((0.0, 2.0 ** rng.randint(4, 14)))
+    return Drawing(Graph(len(positions), tuple(pairs)),
+                   tuple((x + shift, y - shift) for x, y in positions))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_verify_matches_scalar_scans_on_parallel_bundles(seed):
+    # long runs of near-parallel edges, which verify also pairs by line
+    # offset, with overlapping edges and vertices on edges among them
+    drawing = _bundle(random.Random(seed), 1 + seed % 3, 20 + seed)
+    assert verify(drawing) == _scalar_verify(drawing)
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.3, math.pi / 2 + 1e-12])
+def test_verify_matches_scalar_scans_on_a_grid(turn):
+    # a 12 x 12 unit grid: rows of collinear edges that touch end to end,
+    # one edge over two grid edges, a vertex on an edge's interior and a
+    # 2e-8-long edge, all turned
+    k = 12
+    edges = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    edges += [(i * k + j, i * k + j + k) for i in range(k - 1) for j in range(k)]
+    edges += [(0, 2), (k * k, k * k + 1)]
+    points = [(float(i), float(j)) for i in range(k) for j in range(k)]
+    points += [(5.0, 5.5), (5.0 + 2e-8, 5.5 + 1e-8)]
+    c, s = math.cos(turn), math.sin(turn)
+    drawing = Drawing(Graph(len(points), tuple(sorted(edges))),
+                      tuple((x * c - y * s, x * s + y * c) for x, y in points))
+    report = verify(drawing)
+    assert report == _scalar_verify(drawing)
+    assert {d.kind for d in report.degeneracies} >= {
+        COLLINEAR_OVERLAPPING_EDGES, VERTEX_ON_EDGE_INTERIOR}
+
+
+@pytest.mark.parametrize("turn", [0.0, 1.0, math.pi / 2 - 1e-8, math.pi / 2 + 1e-12])
+def test_verify_matches_scalar_scans_on_a_fan(turn):
+    # one run of 22 unit edges whose directions fan out 1e-9 apart, rows 3
+    # apart: a pair crossing at their midpoints 1.8e-9 apart, a gap over
+    # half of each window, and a collinear pair in opposite orientations
+    # overlapping by 0.1, whose starts lie 1.9 apart along a line turned
+    # 2e-8 from the run's first, near the reach of the line offset sort
+    points, edges = [], []
+
+    def edge(row, angle, start, end):
+        c, s = math.cos(angle), math.sin(angle)
+        x, y = -3.0 * row * math.sin(turn), 3.0 * row * math.cos(turn)
+        points.extend([(x + start * c, y + start * s), (x + end * c, y + end * s)])
+        edges.append((len(points) - 2, len(points) - 1))
+
+    for row in range(18):
+        edge(row, turn + row * 1e-9, 0.0, 1.0)
+    edge(18, turn + 1.8e-8, -0.5, 0.5)
+    edge(18, turn + 1.98e-8, -0.5, 0.5)
+    edge(19, turn + 2e-8, 0.0, 1.0)
+    edge(19, turn + 2e-8, 1.9, 0.9)
+    drawing = Drawing(Graph(len(points), tuple(edges)), tuple(points))
+    report = verify(drawing)
+    assert report == _scalar_verify(drawing)
+    assert [d.witness for d in report.degeneracies
+            if d.kind == COLLINEAR_OVERLAPPING_EDGES] == [
+                (36, 37, 38, 39), (40, 41, 42, 43)]
 
 
 @pytest.mark.parametrize("n, s, sign", [

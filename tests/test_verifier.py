@@ -392,6 +392,141 @@ def test_inline_rejection_implies_the_predicate_is_false():
     assert rejected > 10_000 and kept > 10_000
 
 
+def _direction_key(a, b, slack):
+    """verify's (angle, window) of segment ab, copied; None for an edge that
+    pairs with every edge."""
+    ux, uy = b[0] - a[0], b[1] - a[1]
+    length = math.hypot(ux, uy)
+    if not slack < 0.15 * length < math.inf:
+        return None
+    if ux < 0.0 or ux == 0.0 and uy < 0.0:
+        ux, uy = -ux, -uy
+    return math.atan2(uy, ux), math.pi / 2 * slack / length + 2.0 ** -40
+
+
+def _direction_pairing(a1, b1, a2, b2, slack):
+    """verify's direction window, copied: how the pair is kept, directly or
+    through the copy of the lower angle at angle + pi, or None if dropped."""
+    keys = _direction_key(a1, b1, slack), _direction_key(a2, b2, slack)
+    if None in keys:
+        return "wide"
+    (lo, lo_window), (hi, hi_window) = sorted(keys)
+    if hi <= lo + lo_window and hi - lo <= hi_window:
+        return "direct"
+    if (lo - lo_window < -math.pi / 2 and lo + math.pi <= hi + hi_window
+            and lo + math.pi - hi <= lo_window):
+        return "wrap"
+    return None
+
+
+def _off_line_rejects(pt, a, b, slack):
+    """verify's line-distance drop of a vertex/edge pair, copied."""
+    (ax, ay), (bx, by) = a, b
+    ux, uy = bx - ax, by - ay
+    return abs((pt[0] - ax) * uy - (pt[1] - ay) * ux) >= slack * math.hypot(ux, uy)
+
+
+def _slack(*points):
+    return 2 * DEFAULT_DEGENERACY_TOL + 2.0 ** -44 * max(
+        abs(c) for p in points for c in p)
+
+
+def _window_cases(rng, count):
+    """count point 4-tuples: random, near-collinear (ends 0.5 to 3 tol off a
+    line), near-vertical in opposite orientations, a first segment just
+    shorter or longer than slack / 0.15, and coordinates near +-1.7e308;
+    all but the last also translated by +-2**k, k <= 40."""
+    tol = DEFAULT_DEGENERACY_TOL
+    cases = []
+    while len(cases) < count:
+        kind = len(cases) % 5
+        shift = 0.0 if rng.random() < 0.5 else (
+            rng.choice((-1, 1)) * 2.0 ** rng.randint(0, 40))
+        if kind == 0:
+            pts = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(4)]
+        elif kind in (1, 2):
+            x0, y0 = rng.uniform(-4, 4), rng.uniform(-4, 4)
+            if kind == 1:
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+            else:
+                tilt = rng.choice((0.0, 1e-13, 1e-11, 1e-10, 1e-9))
+                theta = math.pi / 2 + rng.choice((-1, 1)) * tilt
+            ux, uy = math.cos(theta), math.sin(theta)
+            pts = []
+            for _ in range(4):
+                t = rng.uniform(-3, 3)
+                # within tol of the line near vertical, where directions
+                # lean either way of it
+                off = rng.uniform(*((0.5, 3.0) if kind == 1 else (0.0, 1.0)))
+                off *= tol * rng.choice((-1, 1))
+                pts.append((x0 + t * ux - off * uy, y0 + t * uy + off * ux))
+            if kind == 2:  # the two segments point opposite ways along y
+                a1, b1, a2, b2 = pts
+                pts = sorted((a1, b1), key=lambda p: p[1]) + sorted(
+                    (a2, b2), key=lambda p: -p[1])
+        elif kind == 3:
+            x0, y0 = rng.uniform(-4, 4) + shift, rng.uniform(-4, 4) - shift
+            cutoff = _slack((x0, y0)) / 0.15
+            length = cutoff * (1.0 + rng.choice((-1, 1)) * rng.choice(
+                (1e-6, 1e-3, 0.1)))
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            ux, uy = math.cos(theta), math.sin(theta)
+            a1 = (x0, y0)
+            b1 = (x0 + length * ux, y0 + length * uy)
+            # the partner: along the short edge's line, or turned off it
+            turn = theta + rng.choice((0.0, 0.1, 0.2, 0.3, 1.0, math.pi))
+            t0 = rng.uniform(-2, 0.5) * length
+            a2 = (x0 + t0 * ux, y0 + t0 * uy)
+            far = rng.uniform(1, 3) * length
+            b2 = (a2[0] + far * math.cos(turn), a2[1] + far * math.sin(turn))
+            cases.append((a1, b1, a2, b2))
+            continue
+        else:
+            big = (1.7e308, -1.7e308, 1.6e308, 1e308, 0.0, 1.0)
+            cases.append(tuple((rng.choice(big), rng.choice(big))
+                               for _ in range(4)))
+            continue
+        cases.append(tuple((x + shift, y - shift) for x, y in pts))
+    return cases
+
+
+def test_window_and_line_drops_imply_the_predicate_is_false():
+    # wherever verify's direction window drops an edge pair, or its
+    # line-distance test a vertex/edge pair, the predicate it would have
+    # called returns False; true findings come through in each way kept
+    rng = random.Random(0)
+    tol = DEFAULT_DEGENERACY_TOL
+    dropped, kept, found = {"window": 0, "line": 0}, {}, {}
+    for a1, b1, a2, b2 in _window_cases(rng, 15_000):
+        if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
+            continue
+        slack = _slack(a1, b1, a2, b2)
+        way = _direction_pairing(a1, b1, a2, b2, slack)
+        overlap = (segments_overlap(a1, b1, a2, b2)
+                   or segments_overlap(a2, b2, a1, b1))
+        if way is None:
+            dropped["window"] += 1
+            assert not overlap
+        else:
+            kept[way] = kept.get(way, 0) + 1
+            found[way] = found.get(way, 0) + overlap
+        ux, uy = b1[0] - a1[0], b1[1] - a1[1]
+        s = rng.uniform(0.0, 1.0)
+        off = rng.uniform(0.5, 3.0) * tol * rng.choice((-1, 1)) / math.hypot(ux, uy)
+        near = (a1[0] + s * ux - off * uy, a1[1] + s * uy + off * ux)
+        for pt in (a2, b2, near):
+            if _off_line_rejects(pt, a1, b1, _slack(a1, b1, a2, b2, pt)):
+                dropped["line"] += 1
+                assert not point_on_segment_interior(pt, a1, b1)
+            else:
+                kept["line"] = kept.get("line", 0) + 1
+                found["line"] = (found.get("line", 0)
+                                 + point_on_segment_interior(pt, a1, b1))
+    assert dropped["window"] > 5_000 and dropped["line"] > 10_000
+    assert all(kept[way] > 400 for way in ("direct", "wrap", "wide", "line"))
+    assert all(found[way] > 50 for way in ("direct", "wrap", "wide", "line"))
+
+
 class TestReportCache:
     @pytest.fixture
     def fresh(self, faithful_drawing):
