@@ -33,8 +33,11 @@ from .layout import Drawing
 DEFAULT_EDGE_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e-2
 DEFAULT_DEGENERACY_TOL = 1e-9
-_WIDE = 0.15  # an edge with slack / |u| at least this pairs with every edge
-_RUN = 16  # a longer run of near-parallel edges pairs by line offset too
+_WIDE = 0.15  # an edge with slack / |u| at least this pairs by its box alone
+# A longer run of near-parallel edges pairs by line offset too.  Pairing by
+# angle alone costs O(run**2), by offset a sort and a fixed cost per run;
+# they cost about the same at 12.
+_RUN = 12
 
 COINCIDENT_VERTICES = "coincident-vertices"
 VERTEX_ON_EDGE_INTERIOR = "vertex-on-edge-interior"
@@ -289,7 +292,9 @@ def _edge_candidates(boxes, slack: float):
     the run's longest edge and span its range of angles.  The offsets are
     halved, so no product overflows and every value compared is finite.
     An edge whose length is not finite, or whose window is not small, pairs
-    with every edge."""
+    with every edge whose box meets its own: with boxes sorted by x0, those
+    that meet it in x lie between the first whose running maximum of x1
+    reaches its x0 and the last whose x0 is at most its x1."""
     half_pi = math.pi / 2
     # (angle, k, window, box, copy), and boxes paired with all
     keyed, wide = [], []
@@ -308,12 +313,14 @@ def _edge_candidates(boxes, slack: float):
               for angle, k, window, box, _ in keyed if angle - window < -half_pi]
     angles = [entry[0] for entry in keyed]
     widest = max([entry[2] for entry in keyed], default=0.0)
+    # runs split at gaps wider than any window; only long ones need the
+    # costlier split by each side's widest window below
     runs = []  # of more than _RUN entries, which leave keyed
     for first, end in _runs(angles, repeat(widest), repeat(widest))[::-1]:
         if end - first > _RUN:
             runs.append(keyed[first:end])
             del keyed[first:end], angles[first:end]
-    wide_ks = {box[4] for box in wide}
+    # a list, faster here than a generator: under _RUN pairs for each edge
     yield from [(e, f) if e[4] < f[4] else (f, e)
                 for i, (angle, _, window, e, copy) in enumerate(keyed) if not copy
                 for other, _, other_window, f, _
@@ -342,8 +349,15 @@ def _edge_candidates(boxes, slack: float):
                         in across[i + 1:bisect_right(offsets, offset + reach, i + 1)]
                         if (turn := abs(other - angle)) <= window
                         and turn <= other_window and not (copy and other_copy))
-    yield from ((e, f) if e[4] < f[4] else (f, e) for e in wide for f in boxes
-                if f[4] > e[4] or f[4] not in wide_ks)
+    if wide:
+        by_x = sorted(boxes, key=lambda box: box[0])
+        x0s = [box[0] for box in by_x]
+        x1s = [*accumulate([box[1] for box in by_x], max)]
+        wide_ks = {box[4] for box in wide}
+        yield from ((e, f) if e[4] < f[4] else (f, e) for e in wide
+                    for f in by_x[bisect_left(x1s, e[0]):bisect_right(x0s, e[1])]
+                    if f[3] >= e[2] and f[2] <= e[3]
+                    and (f[4] > e[4] or f[4] not in wide_ks))
 
 
 def _runs(angles, below, above):

@@ -490,8 +490,8 @@ def _bundle(rng, lines, edges):
     """edges segments 0.5 to 3 long on lines parallel lines 0.7 apart, their
     ends up to 3 tol off, some lines turned 1e-9 and a few 2e-8-long edges
     on the way, in a random direction (or near vertical), shifted by up to
-    2**14, where an ulp is still well under tol: so more than 16 edges lie
-    in one run of near-parallel edges."""
+    2**14, where an ulp is still well under tol: so more edges than
+    verifier._RUN lie in one run of near-parallel edges."""
     tol = DEFAULT_DEGENERACY_TOL
     theta = rng.choice((rng.uniform(0.0, math.pi), math.pi / 2 + 1e-12))
     positions, pairs = [], []
@@ -522,20 +522,26 @@ def test_verify_matches_scalar_scans_on_parallel_bundles(seed):
     assert verify(drawing) == _scalar_verify(drawing)
 
 
-@pytest.mark.parametrize("turn", [0.0, 0.3, math.pi / 2 + 1e-12])
-def test_verify_matches_scalar_scans_on_a_grid(turn):
+@pytest.mark.parametrize("turn, shift", [
+    (0.0, 0.0), (0.3, 0.0), (math.pi / 2 + 1e-12, 0.0),
+    # so far out that slack is over 0.15 of a unit edge: every edge pairs
+    # with the edges whose boxes meet its own, found by x0
+    # with boxes of lower edge index to the left, and (turned by pi) right
+    (0.0, 2.0 ** 42), (0.0, 2.0 ** 43), (math.pi, 2.0 ** 43), (math.pi, -(2.0 ** 45))])
+def test_verify_matches_scalar_scans_on_a_grid(turn, shift):
     # a 12 x 12 unit grid: rows of collinear edges that touch end to end,
-    # one edge over two grid edges, a vertex on an edge's interior and a
-    # 2e-8-long edge, all turned
+    # edges over two grid edges, two of them overlapping by one, a vertex
+    # on an edge's interior and a 2e-8-long edge, all turned and moved
     k = 12
     edges = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
     edges += [(i * k + j, i * k + j + k) for i in range(k - 1) for j in range(k)]
-    edges += [(0, 2), (k * k, k * k + 1)]
+    edges += [(0, 2), (0, 2 * k), (k, 3 * k), (k * k, k * k + 1)]
     points = [(float(i), float(j)) for i in range(k) for j in range(k)]
     points += [(5.0, 5.5), (5.0 + 2e-8, 5.5 + 1e-8)]
     c, s = math.cos(turn), math.sin(turn)
     drawing = Drawing(Graph(len(points), tuple(sorted(edges))),
-                      tuple((x * c - y * s, x * s + y * c) for x, y in points))
+                      tuple((x * c - y * s + shift, x * s + y * c - shift)
+                            for x, y in points))
     report = verify(drawing)
     assert report == _scalar_verify(drawing)
     assert {d.kind for d in report.degeneracies} >= {

@@ -394,10 +394,10 @@ def test_inline_rejection_implies_the_predicate_is_false():
 
 def _direction_key(a, b, slack):
     """verify's (angle, window) of segment ab, copied; None for an edge that
-    pairs with every edge."""
+    pairs by its box alone."""
     ux, uy = b[0] - a[0], b[1] - a[1]
     length = math.hypot(ux, uy)
-    if not slack < 0.15 * length < math.inf:
+    if not slack < verifier._WIDE * length < math.inf:
         return None
     if ux < 0.0 or ux == 0.0 and uy < 0.0:
         ux, uy = -ux, -uy
@@ -434,7 +434,7 @@ def _slack(*points):
 def _window_cases(rng, count):
     """count point 4-tuples: random, near-collinear (ends 0.5 to 3 tol off a
     line), near-vertical in opposite orientations, a first segment just
-    shorter or longer than slack / 0.15, and coordinates near +-1.7e308;
+    shorter or longer than slack / _WIDE, and coordinates near +-1.7e308;
     all but the last also translated by +-2**k, k <= 40."""
     tol = DEFAULT_DEGENERACY_TOL
     cases = []
@@ -466,7 +466,7 @@ def _window_cases(rng, count):
                     (a2, b2), key=lambda p: -p[1])
         elif kind == 3:
             x0, y0 = rng.uniform(-4, 4) + shift, rng.uniform(-4, 4) - shift
-            cutoff = _slack((x0, y0)) / 0.15
+            cutoff = _slack((x0, y0)) / verifier._WIDE
             length = cutoff * (1.0 + rng.choice((-1, 1)) * rng.choice(
                 (1e-6, 1e-3, 0.1)))
             theta = rng.uniform(0.0, 2.0 * math.pi)
@@ -490,34 +490,57 @@ def _window_cases(rng, count):
     return cases
 
 
-def test_window_and_line_drops_imply_the_predicate_is_false():
-    # wherever verify's direction window drops an edge pair, or its
-    # line-distance test a vertex/edge pair, the predicate it would have
-    # called returns False; true findings come through in each way kept
+def test_window_and_line_drops_imply_the_predicate_is_false(monkeypatch):
+    # wherever verify drops an edge pair before segments_overlap, or a
+    # vertex/edge pair before point_on_segment_interior, the predicate
+    # returns False; the copies above, which sort the kept pairs by the way
+    # they are kept, drop no pair that verify keeps; true findings come
+    # through in each way kept
     rng = random.Random(0)
     tol = DEFAULT_DEGENERACY_TOL
+    yielded, called = [], set()
+    candidates, interior = verifier._edge_candidates, point_on_segment_interior
+
+    def recording_candidates(boxes, slack):
+        yielded.extend(candidates(boxes, slack))
+        return iter(yielded)
+
+    def recording_interior(pt, a, b):
+        called.add((pt, a, b))
+        return interior(pt, a, b)
+
+    monkeypatch.setattr(verifier, "_edge_candidates", recording_candidates)
+    monkeypatch.setattr(verifier, "point_on_segment_interior", recording_interior)
     dropped, kept, found = {"window": 0, "line": 0}, {}, {}
     for a1, b1, a2, b2 in _window_cases(rng, 15_000):
         if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
             continue
-        slack = _slack(a1, b1, a2, b2)
-        way = _direction_pairing(a1, b1, a2, b2, slack)
-        overlap = (segments_overlap(a1, b1, a2, b2)
-                   or segments_overlap(a2, b2, a1, b1))
-        if way is None:
-            dropped["window"] += 1
-            assert not overlap
-        else:
-            kept[way] = kept.get(way, 0) + 1
-            found[way] = found.get(way, 0) + overlap
         ux, uy = b1[0] - a1[0], b1[1] - a1[1]
         s = rng.uniform(0.0, 1.0)
         off = rng.uniform(0.5, 3.0) * tol * rng.choice((-1, 1)) / math.hypot(ux, uy)
         near = (a1[0] + s * ux - off * uy, a1[1] + s * uy + off * ux)
-        for pt in (a2, b2, near):
-            if _off_line_rejects(pt, a1, b1, _slack(a1, b1, a2, b2, pt)):
-                dropped["line"] += 1
+        pts = (a1, b1, a2, b2) + ((near,) if math.isfinite(sum(near)) else ())
+        yielded.clear()
+        called.clear()
+        verify(Drawing(Graph(len(pts), ((0, 1), (2, 3))), pts))
+        slack = _slack(*pts)
+        way = _direction_pairing(a1, b1, a2, b2, slack)
+        overlap = (segments_overlap(a1, b1, a2, b2)
+                   or segments_overlap(a2, b2, a1, b1))
+        if not yielded:
+            assert not overlap
+        if way is None:
+            dropped["window"] += 1
+            assert not yielded
+        else:
+            kept[way] = kept.get(way, 0) + 1
+            found[way] = found.get(way, 0) + overlap
+        for pt in pts[2:]:
+            if (pt, a1, b1) not in called:
                 assert not point_on_segment_interior(pt, a1, b1)
+            if _off_line_rejects(pt, a1, b1, slack):
+                dropped["line"] += 1
+                assert (pt, a1, b1) not in called
             else:
                 kept["line"] = kept.get("line", 0) + 1
                 found["line"] = (found.get("line", 0)
