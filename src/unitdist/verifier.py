@@ -11,14 +11,15 @@ every quantity is derived from pairwise distances and isometry-invariant
 predicates, so reports are stable under rigid motions.
 
 A sweep over x-sorted vertices pairs vertices; each edge's box takes the
-vertices whose x it spans by bisection; edges pair by direction angle, and
-in long runs of near-parallel edges by line offset too.  These keys, and
-the predicates' first tests run inline, skip only candidates that surely
+vertices whose x it spans by bisection and keeps those near its line; each
+edge pairs with the edges at its near vertices.  These keys, and the
+predicates' first tests run inline, skip only candidates that surely
 cannot change the report; math.dist and the predicates below decide every
 verdict, value and witness.
-The extra memory is O(n + edges + findings) for any drawing.  The hot loops
-sit in short helpers and comprehensions, as tracemalloc on Python 3.11 finds
-an allocation's line by scanning its code's line table from the start.
+The extra memory is O(n + edges + near pairs * degree) for any drawing.
+The hot loops sit in short helpers and comprehensions, as tracemalloc on
+Python 3.11 finds an allocation's line by scanning its code's line table
+from the start.
 """
 
 from __future__ import annotations
@@ -26,18 +27,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import accumulate, repeat
 
 from .layout import Drawing
 
 DEFAULT_EDGE_TOL = 1e-9
 DEFAULT_GAP_THRESHOLD = 1e-2
 DEFAULT_DEGENERACY_TOL = 1e-9
-_WIDE = 0.15  # an edge with slack / |u| at least this pairs by its box alone
-# A longer run of near-parallel edges pairs by line offset too.  Pairing by
-# angle alone costs O(run**2), by offset a sort and a fixed cost per run;
-# they cost about the same at 12.
-_RUN = 12
 
 COINCIDENT_VERTICES = "coincident-vertices"
 VERTEX_ON_EDGE_INTERIOR = "vertex-on-edge-interior"
@@ -134,10 +129,11 @@ def verify(d: Drawing) -> FaithfulnessReport:
 
     Inline copies of point_on_segment_interior's tol < t < 1 - tol test and
     segments_overlap's near-line tests of one segment against the other's
-    ends drop candidates, and so do a vertex's distance from an edge's line
-    and the angle between two edges' directions, each bounded through the
-    rounding slack below; the predicates decide all others.  Called again on
-    the same object with no other drawing between, it returns the same report.
+    ends drop candidates, and so does a vertex's distance from an edge's
+    line, bounded through the rounding slack below; an edge pairs only with
+    the edges at the vertices near it.  The predicates decide all others.
+    Called again on the same object with no other drawing between, it
+    returns the same report.
     """
     global _last
     last_drawing, last_report = _last  # one read: another thread may rebind it
@@ -158,8 +154,9 @@ def verify(d: Drawing) -> FaithfulnessReport:
     max_edge_residual = 0.0
     edge_witness: tuple[int, int] | None = None
     solid_edges: list[tuple[int, int]] = []
-    boxes = []  # (x0, x1, y0, y1, k, ax, ay, bx, by, ux, uy, |u|, |u|**2, a, b,
+    boxes = []  # (x0, x1, y0, y1, k, ax, ay, bx, by, ux, uy, |u|, |u|**2, i, j,
     #           slack * |u|)
+    incident = [[] for _ in range(n)]  # the solid edges at each vertex
     for i, j in d.graph.edges:  # in lexicographic order
         a, b = pos[i], pos[j]
         dist = math.dist(a, b)
@@ -169,6 +166,7 @@ def verify(d: Drawing) -> FaithfulnessReport:
         # Degenerate (zero-length) edges are reported as coincident
         # vertices; skip them in the segment predicates below.
         if dist > tol:
+            k = len(solid_edges)
             (ax, ay), (bx, by) = a, b
             ux, uy = bx - ax, by - ay
             x0, x1 = (bx, ax) if bx < ax else (ax, bx)
@@ -176,14 +174,16 @@ def verify(d: Drawing) -> FaithfulnessReport:
             # dist is math.hypot(ux, uy), as the predicates' |u|: both take
             # the norm of b - a
             boxes.append((x0 - slack, x1 + slack, y0 - slack, y1 + slack,
-                          len(solid_edges), ax, ay, bx, by, ux, uy,
-                          dist, ux * ux + uy * uy, a, b, slack * dist))
+                          k, ax, ay, bx, by, ux, uy, dist, ux * ux + uy * uy,
+                          i, j, slack * dist))
             solid_edges.append((i, j))
+            incident[i].append(k)
+            incident[j].append(k)
 
     xs = [p[0] for p in pos]
     order = sorted(range(n), key=xs.__getitem__)
     sep, gap, coincident = _vertex_pairs(pos, order, d.graph.edge_set, slack)
-    on_edge, overlapping = _segment_pairs(pos, order, boxes, slack)
+    on_edge, overlapping = _segment_pairs(pos, order, boxes, incident)
 
     degeneracies = [Degeneracy(COINCIDENT_VERTICES, pair)
                     for pair in sorted(coincident)]
@@ -243,127 +243,49 @@ def _vertex_pairs(pos, order, edge_set, slack: float):
     return sep, gap, coincident
 
 
-def _segment_pairs(pos, order, boxes, slack: float):
+def _segment_pairs(pos, order, boxes, incident):
     """The (edge, vertex) and (edge, edge) pairs the predicates find.
 
     Each edge's box takes the vertices whose x it spans, by bisection of
-    the x-sorted order, and drops one outside its y-range, one whose t fails
-    tol < t < 1 - tol, and one off its line: if point_on_segment_interior is
+    the x-sorted order, and keeps as near those inside its y-range, not an
+    end of the edge and not off its line: if point_on_segment_interior is
     true, |(p - a) x u| / |u| is under tol plus rounding, which slack
-    covers, and no product overflows; the test keeps a NaN.  An edge pair
-    from _edge_candidates needs meeting boxes and must pass two of
-    segments_overlap's near-line tests, inline, before segments_overlap
-    decides it."""
+    covers, and no product overflows; the test keeps a NaN.  A near vertex
+    whose t passes tol < t < 1 - tol goes to point_on_segment_interior.
+
+    Each edge pairs with every solid edge at its near vertices.  If
+    segments_overlap(g, h) is true, project h's ends on g's direction, as
+    it does: the overlap exceeds tol, so s_hi > tol and s_lo < |u_g| - tol.
+    If an end of h that is not an end of g projects into [0, |u_g|], near-
+    line tests 1 and 2 put it within tol of g's line, so within tol of g.
+    Otherwise h spans g on both sides, or shares one vertex with g and
+    reaches past g's other end; either way an end of g that h does not
+    share projects strictly inside h's range, tests 3 and 4 put it within
+    tol of h's line, and moving to h's own parameter shifts it by under
+    tol / 4, so it lies within about 1.03 tol of h.  Both cases fall inside
+    slack, whose 2**-44 * max|c| term covers the rounding, so that vertex
+    is near the other edge.  If an edge's |u| overflows, its reach is
+    infinite and its near-line tests pass only where both products are
+    finite, which puts the other edge's ends within slack of its first end,
+    where near keeps them.  The boxes of a pair meet at the vertex that
+    pairs them, so a pair need only pass segments_overlap's tests 1 and 2,
+    inline, before segments_overlap decides it."""
     tol = DEFAULT_DEGENERACY_TOL
     ordered = [(*pos[v], v) for v in order]
     xs = [p[0] for p in ordered]
-    on_edge = [(k, v) for x0, x1, y0, y1, k, ax, ay, _, _, ux, uy, _, sq, a, b, near
-               in boxes for px, py, v in ordered[bisect_left(xs, x0):bisect_right(xs, x1)]
-               if y0 <= py <= y1
-               # tol < t < 1 - tol, which t = 0 and t = 1 at an edge's ends fail
-               and tol < ((px - ax) * ux + (py - ay) * uy) / sq < 1.0 - tol
-               and not abs((px - ax) * uy - (py - ay) * ux) >= near
-               and point_on_segment_interior(pos[v], a, b)]
+    near = [(k, v, ((px - ax) * ux + (py - ay) * uy) / sq)
+            for x0, x1, y0, y1, k, ax, ay, _, _, ux, uy, _, sq, i, j, reach
+            in boxes for px, py, v in ordered[bisect_left(xs, x0):bisect_right(xs, x1)]
+            if y0 <= py <= y1 and v != i and v != j
+            and not abs((px - ax) * uy - (py - ay) * ux) >= reach]
+    on_edge = [(k, v) for k, v, t in near
+               # point_on_segment_interior's first test, inline
+               if tol < t < 1.0 - tol and point_on_segment_interior(
+                   pos[v], pos[boxes[k][13]], pos[boxes[k][14]])]
+    pairs = {(k, e) if k < e else (e, k) for k, v, _ in near for e in incident[v]}
     # g's near-line tests of h's ends, as segments_overlap(g, h) computes them
-    overlapping = [(g[4], h[4]) for g, h in _edge_candidates(boxes, slack)
-                   if g[1] >= h[0] and g[0] <= h[1] and g[3] >= h[2] and g[2] <= h[3]
-                   and abs(g[9] * (h[6] - g[6]) - g[10] * (h[5] - g[5])) / g[11] < tol
+    overlapping = [(k, e) for k, e in pairs for g, h in [(boxes[k], boxes[e])]
+                   if abs(g[9] * (h[6] - g[6]) - g[10] * (h[5] - g[5])) / g[11] < tol
                    and abs(g[9] * (h[8] - g[6]) - g[10] * (h[7] - g[5])) / g[11] < tol
-                   and segments_overlap(g[13], g[14], h[13], h[14])]
+                   and segments_overlap(pos[g[13]], pos[g[14]], pos[h[13]], pos[h[14]])]
     return on_edge, overlapping
-
-
-def _edge_candidates(boxes, slack: float):
-    """Each pair (g, h) of edge boxes, g's edge index the lower, that
-    segments_overlap might find overlapping.
-
-    If it does, its four near-line tests give |sin theta| * max(|u|, |v|)
-    <= 2 * tol plus rounding, which slack covers, so the angle theta between
-    the directions, modulo pi, is at most (pi / 2) * slack / |u| and the
-    same for v.  Edges sorted by direction angle in (-pi / 2, pi / 2] pair
-    only within both windows, plus 2**-40 for the rounding of atan2, cos
-    and sin; a window that crosses -pi / 2 also meets the top of the order
-    through a copy at angle + pi, which pairs only with an original, so no
-    pair comes twice.  A pair spans a gap of that order only if the gap is
-    at most the widest window on each side of it, so pairs lie within runs.
-    A run of more than _RUN edges is also sorted by the offset of each line
-    across the run's first direction d: the lines of an overlapping pair
-    are at most slack + 2 * (|u| + slack) * (span + 2**-40) apart there, |u|
-    the run's longest edge and span its range of angles.  The offsets are
-    halved, so no product overflows and every value compared is finite.
-    An edge whose length is not finite, or whose window is not small, pairs
-    with every edge whose box meets its own: with boxes sorted by x0, those
-    that meet it in x lie between the first whose running maximum of x1
-    reaches its x0 and the last whose x0 is at most its x1."""
-    half_pi = math.pi / 2
-    # (angle, k, window, box, copy), and boxes paired with all
-    keyed, wide = [], []
-    for box in boxes:
-        length = box[11]
-        if slack < _WIDE * length < math.inf:
-            ux, uy = box[9], box[10]
-            if ux < 0.0 or ux == 0.0 and uy < 0.0:
-                ux, uy = -ux, -uy
-            keyed.append((math.atan2(uy, ux), box[4],
-                          half_pi * slack / length + 2.0 ** -40, box, False))
-        else:
-            wide.append(box)
-    keyed.sort()
-    keyed += [(angle + math.pi, k, window, box, True)
-              for angle, k, window, box, _ in keyed if angle - window < -half_pi]
-    angles = [entry[0] for entry in keyed]
-    widest = max([entry[2] for entry in keyed], default=0.0)
-    # runs split at gaps wider than any window; only long ones need the
-    # costlier split by each side's widest window below
-    runs = []  # of more than _RUN entries, which leave keyed
-    for first, end in _runs(angles, repeat(widest), repeat(widest))[::-1]:
-        if end - first > _RUN:
-            runs.append(keyed[first:end])
-            del keyed[first:end], angles[first:end]
-    # a list, faster here than a generator: under _RUN pairs for each edge
-    yield from [(e, f) if e[4] < f[4] else (f, e)
-                for i, (angle, _, window, e, copy) in enumerate(keyed) if not copy
-                for other, _, other_window, f, _
-                in keyed[i + 1:bisect_right(angles, angle + window, i + 1)]
-                if other - angle <= other_window]
-    for whole in runs:
-        # a pair spans a gap only if it is at most the widest window on
-        # each side, so one short edge does not join two runs
-        windows = [entry[2] for entry in whole]
-        below = accumulate(windows, max)
-        above = [*accumulate(windows[::-1], max)][-2::-1]
-        for first, end in _runs([entry[0] for entry in whole], below, above):
-            if end - first < 2:
-                continue
-            run = whole[first:end]
-            dx, dy = math.cos(run[0][0]), math.sin(run[0][0])
-            reach = 0.5 * slack + (max([entry[3][11] for entry in run]) + slack) * (
-                run[-1][0] - run[0][0] + 2.0 ** -40)
-            # (offset, copy, angle, window, box) by offset; ties end at box's k
-            across = sorted([(dx * box[6] * 0.5 - dy * box[5] * 0.5, copy, angle,
-                              window, box) for angle, _, window, box, copy in run])
-            offsets = [entry[0] for entry in across]
-            yield from ((e, f) if e[4] < f[4] else (f, e)
-                        for i, (offset, copy, angle, window, e) in enumerate(across)
-                        for _, other_copy, other, other_window, f
-                        in across[i + 1:bisect_right(offsets, offset + reach, i + 1)]
-                        if (turn := abs(other - angle)) <= window
-                        and turn <= other_window and not (copy and other_copy))
-    if wide:
-        by_x = sorted(boxes, key=lambda box: box[0])
-        x0s = [box[0] for box in by_x]
-        x1s = [*accumulate([box[1] for box in by_x], max)]
-        wide_ks = {box[4] for box in wide}
-        yield from ((e, f) if e[4] < f[4] else (f, e) for e in wide
-                    for f in by_x[bisect_left(x1s, e[0]):bisect_right(x0s, e[1])]
-                    if f[3] >= e[2] and f[2] <= e[3]
-                    and (f[4] > e[4] or f[4] not in wide_ks))
-
-
-def _runs(angles, below, above):
-    """(first, end) of each run of the sorted angles, split at every gap
-    wider than its bound in below or in above."""
-    cuts = [i for i, (angle, other, left, right)
-            in enumerate(zip(angles, angles[1:], below, above), 1)
-            if other - angle > left or other - angle > right]
-    return [*zip([0, *cuts], [*cuts, len(angles)])]

@@ -468,14 +468,12 @@ def translated(draw):
 @example(drawing=Drawing(Graph(3, ((0, 1), (1, 2))),
                          ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0))))
 # overlapping vertical edges given in opposite orientations, exactly
-# vertical, then leaning either way of vertical, so that their direction
-# angles lie at +pi/2 and -pi/2, which meet only through the wrap
+# vertical, then leaning either way of vertical
 @example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
     (0.0, 0.0), (0.0, 1.0), (0.0, 1.5), (0.0, 0.5))))
 @example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
     (0.0, 0.0), (1e-12, 1.0), (0.0, 1.5), (1e-12, 0.5))))
-# a 3e-9-long edge along a collinear edge: its direction window is not
-# small, so it pairs with every edge
+# a 3e-9-long edge along a collinear edge, inside it
 @example(drawing=Drawing(Graph(4, ((0, 1), (2, 3))), (
     (0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (0.5 + 3e-9, 0.0))))
 # a vertex 0.5 tol off a near-vertical edge's interior
@@ -490,8 +488,8 @@ def _bundle(rng, lines, edges):
     """edges segments 0.5 to 3 long on lines parallel lines 0.7 apart, their
     ends up to 3 tol off, some lines turned 1e-9 and a few 2e-8-long edges
     on the way, in a random direction (or near vertical), shifted by up to
-    2**14, where an ulp is still well under tol: so more edges than
-    verifier._RUN lie in one run of near-parallel edges."""
+    2**14, where an ulp is still well under tol: so many near-parallel
+    edges overlap, or end near, the edges on their line."""
     tol = DEFAULT_DEGENERACY_TOL
     theta = rng.choice((rng.uniform(0.0, math.pi), math.pi / 2 + 1e-12))
     positions, pairs = [], []
@@ -516,17 +514,17 @@ def _bundle(rng, lines, edges):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_verify_matches_scalar_scans_on_parallel_bundles(seed):
-    # long runs of near-parallel edges, which verify also pairs by line
-    # offset, with overlapping edges and vertices on edges among them
+    # many near-parallel edges, with overlapping edges and vertices on
+    # edges among them
     drawing = _bundle(random.Random(seed), 1 + seed % 3, 20 + seed)
     assert verify(drawing) == _scalar_verify(drawing)
 
 
 @pytest.mark.parametrize("turn, shift", [
     (0.0, 0.0), (0.3, 0.0), (math.pi / 2 + 1e-12, 0.0),
-    # so far out that slack is over 0.15 of a unit edge: every edge pairs
-    # with the edges whose boxes meet its own, found by x0
-    # with boxes of lower edge index to the left, and (turned by pi) right
+    # so far out that slack is 0.25 to 2 of a unit edge (at 2**45 each box
+    # keeps its edge's neighbours as near vertices), with lower edge
+    # indices to the left, and (turned by pi) to the right
     (0.0, 2.0 ** 42), (0.0, 2.0 ** 43), (math.pi, 2.0 ** 43), (math.pi, -(2.0 ** 45))])
 def test_verify_matches_scalar_scans_on_a_grid(turn, shift):
     # a 12 x 12 unit grid: rows of collinear edges that touch end to end,
@@ -550,11 +548,10 @@ def test_verify_matches_scalar_scans_on_a_grid(turn, shift):
 
 @pytest.mark.parametrize("turn", [0.0, 1.0, math.pi / 2 - 1e-8, math.pi / 2 + 1e-12])
 def test_verify_matches_scalar_scans_on_a_fan(turn):
-    # one run of 22 unit edges whose directions fan out 1e-9 apart, rows 3
-    # apart: a pair crossing at their midpoints 1.8e-9 apart, a gap over
-    # half of each window, and a collinear pair in opposite orientations
-    # overlapping by 0.1, whose starts lie 1.9 apart along a line turned
-    # 2e-8 from the run's first, near the reach of the line offset sort
+    # 22 unit edges whose directions fan out 1e-9 apart, rows 3 apart: a
+    # pair crossing at their midpoints 1.8e-9 apart, and a collinear pair in
+    # opposite orientations overlapping by 0.1, whose starts lie 1.9 apart
+    # along a line turned 2e-8 from the first edge's
     points, edges = [], []
 
     def edge(row, angle, start, end):
@@ -575,6 +572,34 @@ def test_verify_matches_scalar_scans_on_a_fan(turn):
     assert [d.witness for d in report.degeneracies
             if d.kind == COLLINEAR_OVERLAPPING_EDGES] == [
                 (36, 37, 38, 39), (40, 41, 42, 43)]
+
+
+@pytest.mark.parametrize("turn, shift", [
+    (0.0, 0.0), (0.7, 0.0), (math.pi / 2 + 1e-12, 2.0 ** 20)])
+def test_verify_matches_scalar_scans_on_a_hub(turn, shift):
+    # a hub vertex of degree 36 inside 18 long edges through it, each along
+    # two opposite spokes, or 0.5, 1 or 3 tol off them: every edge pairs
+    # with all 36 spokes at each near hub, the O(findings x degree) side
+    # of verify's pairing
+    tol = DEFAULT_DEGENERACY_TOL
+    points, edges = [(shift, -shift)], []
+    for m in range(36):
+        angle = turn + m * math.pi / 18
+        c, s = math.cos(angle), math.sin(angle)
+        spoke = 0.5 + 0.1 * (m % 12)
+        points.append((shift + spoke * c, -shift + spoke * s))
+        edges.append((0, len(points) - 1))
+        if m % 2 == 0:
+            off = (0.0, 0.5, 1.0, 3.0)[m // 2 % 4] * tol
+            points += [(shift + t * c - off * s, -shift + t * s + off * c)
+                       for t in (-2.0, 2.0)]
+            edges.append((len(points) - 2, len(points) - 1))
+    drawing = Drawing(Graph(len(points), tuple(edges)), tuple(points))
+    report = verify(drawing)
+    assert report == _scalar_verify(drawing)
+    kinds = [d.kind for d in report.degeneracies]
+    assert kinds.count(VERTEX_ON_EDGE_INTERIOR) >= 9
+    assert kinds.count(COLLINEAR_OVERLAPPING_EDGES) >= 20
 
 
 @pytest.mark.parametrize("n, s, sign", [

@@ -392,162 +392,130 @@ def test_inline_rejection_implies_the_predicate_is_false():
     assert rejected > 10_000 and kept > 10_000
 
 
-def _direction_key(a, b, slack):
-    """verify's (angle, window) of segment ab, copied; None for an edge that
-    pairs by its box alone."""
-    ux, uy = b[0] - a[0], b[1] - a[1]
-    length = math.hypot(ux, uy)
-    if not slack < verifier._WIDE * length < math.inf:
-        return None
-    if ux < 0.0 or ux == 0.0 and uy < 0.0:
-        ux, uy = -ux, -uy
-    return math.atan2(uy, ux), math.pi / 2 * slack / length + 2.0 ** -40
-
-
-def _direction_pairing(a1, b1, a2, b2, slack):
-    """verify's direction window, copied: how the pair is kept, directly or
-    through the copy of the lower angle at angle + pi, or None if dropped."""
-    keys = _direction_key(a1, b1, slack), _direction_key(a2, b2, slack)
-    if None in keys:
-        return "wide"
-    (lo, lo_window), (hi, hi_window) = sorted(keys)
-    if hi <= lo + lo_window and hi - lo <= hi_window:
-        return "direct"
-    if (lo - lo_window < -math.pi / 2 and lo + math.pi <= hi + hi_window
-            and lo + math.pi - hi <= lo_window):
-        return "wrap"
-    return None
-
-
-def _off_line_rejects(pt, a, b, slack):
-    """verify's line-distance drop of a vertex/edge pair, copied."""
-    (ax, ay), (bx, by) = a, b
-    ux, uy = bx - ax, by - ay
-    return abs((pt[0] - ax) * uy - (pt[1] - ay) * ux) >= slack * math.hypot(ux, uy)
-
-
-def _slack(*points):
-    return 2 * DEFAULT_DEGENERACY_TOL + 2.0 ** -44 * max(
-        abs(c) for p in points for c in p)
-
-
-def _window_cases(rng, count):
-    """count point 4-tuples: random, near-collinear (ends 0.5 to 3 tol off a
-    line), near-vertical in opposite orientations, a first segment just
-    shorter or longer than slack / _WIDE, and coordinates near +-1.7e308;
-    all but the last also translated by +-2**k, k <= 40."""
+def _pairing_cases(rng, count):
+    """count (kind, points, edges) drawings of two solid edges g, h: random;
+    near-collinear (ends 0.5 to 3 tol off a line); near vertical in
+    opposite orientations; an end of h inside g; h spanning g; h sharing a
+    vertex with g, its other end beyond g's other end; edges 1 to 5 tol
+    long on one line; and coordinates near +-1.7e308.  All but the last
+    are also translated by +-2**k, k <= 40, half the time; g and h take
+    either edge index, and a vertex 0.5 to 3 tol off the interior of edge
+    (0, 1) is added when it is finite."""
     tol = DEFAULT_DEGENERACY_TOL
+    kinds = ("random", "collinear", "vertical", "inside", "spans", "shared",
+             "short", "big")
     cases = []
     while len(cases) < count:
-        kind = len(cases) % 5
+        kind = kinds[len(cases) % len(kinds)]
         shift = 0.0 if rng.random() < 0.5 else (
             rng.choice((-1, 1)) * 2.0 ** rng.randint(0, 40))
-        if kind == 0:
+        x0, y0 = rng.uniform(-4, 4), rng.uniform(-4, 4)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        if kind == "vertical":
+            theta = math.pi / 2 + rng.choice((-1, 1)) * rng.choice(
+                (0.0, 1e-13, 1e-11, 1e-10, 1e-9))
+        ux, uy = math.cos(theta), math.sin(theta)
+
+        def on_line(t, off):
+            # off tol units off the line, either side
+            off *= tol * rng.choice((-1, 1))
+            return (x0 + t * ux - off * uy, y0 + t * uy + off * ux)
+
+        length = rng.uniform(0.5, 3.0)
+        edges = ((0, 1), (2, 3))
+        if kind == "random":
             pts = [(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(4)]
-        elif kind in (1, 2):
-            x0, y0 = rng.uniform(-4, 4), rng.uniform(-4, 4)
-            if kind == 1:
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-            else:
-                tilt = rng.choice((0.0, 1e-13, 1e-11, 1e-10, 1e-9))
-                theta = math.pi / 2 + rng.choice((-1, 1)) * tilt
-            ux, uy = math.cos(theta), math.sin(theta)
+        elif kind in ("collinear", "vertical"):
+            off = (0.5, 3.0) if kind == "collinear" else (0.0, 1.0)
+            pts = [on_line(rng.uniform(-3, 3), rng.uniform(*off))
+                   for _ in range(4)]
+            if kind == "vertical":  # the two edges point opposite ways along y
+                pts = sorted(pts[:2], key=lambda p: p[1]) + sorted(
+                    pts[2:], key=lambda p: -p[1])
+        elif kind == "inside":
+            pts = [on_line(0.0, 0.0), on_line(length, 0.0),
+                   on_line(rng.uniform(0.0, 1.0) * length, rng.uniform(0, 1.5)),
+                   on_line(rng.uniform(-1.0, 2.0) * length, rng.uniform(0, 1.5))]
+        elif kind == "spans":
+            pts = [on_line(0.0, rng.uniform(0, 1)), on_line(length, rng.uniform(0, 1)),
+                   on_line(-rng.uniform(0.0, 1.0), rng.uniform(0, 1)),
+                   on_line(length + rng.uniform(0.0, 1.0), rng.uniform(0, 1))]
+        elif kind == "shared":
+            # h = (1, 2) from g's b back past g's a, or (0, 2) from g's a on
+            # past g's b
+            edges = rng.choice((((0, 1), (1, 2)), ((0, 1), (0, 2))))
+            beyond = rng.uniform(0.0, 1.0)
+            far = -beyond if edges[1][0] == 1 else length + beyond
+            pts = [on_line(0.0, 0.0), on_line(length, 0.0),
+                   on_line(far, rng.uniform(0, 1.5))]
+        elif kind == "short":
             pts = []
-            for _ in range(4):
-                t = rng.uniform(-3, 3)
-                # within tol of the line near vertical, where directions
-                # lean either way of it
-                off = rng.uniform(*((0.5, 3.0) if kind == 1 else (0.0, 1.0)))
-                off *= tol * rng.choice((-1, 1))
-                pts.append((x0 + t * ux - off * uy, y0 + t * uy + off * ux))
-            if kind == 2:  # the two segments point opposite ways along y
-                a1, b1, a2, b2 = pts
-                pts = sorted((a1, b1), key=lambda p: p[1]) + sorted(
-                    (a2, b2), key=lambda p: -p[1])
-        elif kind == 3:
-            x0, y0 = rng.uniform(-4, 4) + shift, rng.uniform(-4, 4) - shift
-            cutoff = _slack((x0, y0)) / verifier._WIDE
-            length = cutoff * (1.0 + rng.choice((-1, 1)) * rng.choice(
-                (1e-6, 1e-3, 0.1)))
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            ux, uy = math.cos(theta), math.sin(theta)
-            a1 = (x0, y0)
-            b1 = (x0 + length * ux, y0 + length * uy)
-            # the partner: along the short edge's line, or turned off it
-            turn = theta + rng.choice((0.0, 0.1, 0.2, 0.3, 1.0, math.pi))
-            t0 = rng.uniform(-2, 0.5) * length
-            a2 = (x0 + t0 * ux, y0 + t0 * uy)
-            far = rng.uniform(1, 3) * length
-            b2 = (a2[0] + far * math.cos(turn), a2[1] + far * math.sin(turn))
-            cases.append((a1, b1, a2, b2))
-            continue
+            for _ in range(2):
+                start = rng.uniform(-6.0, 6.0) * tol
+                step = rng.choice((-1, 1)) * rng.uniform(1.0, 5.0) * tol
+                pts += [on_line(start, rng.uniform(0, 1)),
+                        on_line(start + step, rng.uniform(0, 1))]
         else:
             big = (1.7e308, -1.7e308, 1.6e308, 1e308, 0.0, 1.0)
-            cases.append(tuple((rng.choice(big), rng.choice(big))
-                               for _ in range(4)))
-            continue
-        cases.append(tuple((x + shift, y - shift) for x, y in pts))
+            pts = [(rng.choice(big), rng.choice(big)) for _ in range(4)]
+            shift = 0.0
+        if kind != "shared" and rng.random() < 0.5:  # h is the lower edge
+            pts = pts[2:] + pts[:2]
+        pts = [(x + shift, y - shift) for x, y in pts]
+        (ax, ay), (bx, by) = pts[0], pts[1]
+        s = rng.uniform(0.0, 1.0)
+        off = rng.uniform(0.5, 3.0) * tol * rng.choice((-1, 1)) / max(
+            math.hypot(bx - ax, by - ay), tol)
+        near = (ax + s * (bx - ax) - off * (by - ay),
+                ay + s * (by - ay) + off * (bx - ax))
+        if math.isfinite(sum(near)):
+            pts.append(near)
+        cases.append((kind, tuple(pts), edges))
     return cases
 
 
 def test_window_and_line_drops_imply_the_predicate_is_false(monkeypatch):
-    # wherever verify drops an edge pair before segments_overlap, or a
-    # vertex/edge pair before point_on_segment_interior, the predicate
-    # returns False; the copies above, which sort the kept pairs by the way
-    # they are kept, drop no pair that verify keeps; true findings come
-    # through in each way kept
+    # every edge pair verify does not hand to segments_overlap, and every
+    # vertex/edge pair it does not hand to point_on_segment_interior, fails
+    # the predicate: through the near vertices each edge's box keeps, the
+    # pairs each branch of _segment_pairs' soundness argument needs come
+    # through, and true findings come through in each kind of case
     rng = random.Random(0)
     tol = DEFAULT_DEGENERACY_TOL
-    yielded, called = [], set()
-    candidates, interior = verifier._edge_candidates, point_on_segment_interior
+    called = set()
+    overlap, interior = segments_overlap, point_on_segment_interior
 
-    def recording_candidates(boxes, slack):
-        yielded.extend(candidates(boxes, slack))
-        return iter(yielded)
+    def recording_overlap(*ends):
+        called.add(ends)
+        return overlap(*ends)
 
-    def recording_interior(pt, a, b):
-        called.add((pt, a, b))
-        return interior(pt, a, b)
+    def recording_interior(*points):
+        called.add(points)
+        return interior(*points)
 
-    monkeypatch.setattr(verifier, "_edge_candidates", recording_candidates)
+    monkeypatch.setattr(verifier, "segments_overlap", recording_overlap)
     monkeypatch.setattr(verifier, "point_on_segment_interior", recording_interior)
-    dropped, kept, found = {"window": 0, "line": 0}, {}, {}
-    for a1, b1, a2, b2 in _window_cases(rng, 15_000):
+    dropped, found = {"pair": 0, "vertex": 0}, {}
+    for kind, pts, edges in _pairing_cases(rng, 16_000):
+        (a1, b1), (a2, b2) = [(pts[i], pts[j]) for i, j in edges]
         if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
             continue
-        ux, uy = b1[0] - a1[0], b1[1] - a1[1]
-        s = rng.uniform(0.0, 1.0)
-        off = rng.uniform(0.5, 3.0) * tol * rng.choice((-1, 1)) / math.hypot(ux, uy)
-        near = (a1[0] + s * ux - off * uy, a1[1] + s * uy + off * ux)
-        pts = (a1, b1, a2, b2) + ((near,) if math.isfinite(sum(near)) else ())
-        yielded.clear()
         called.clear()
-        verify(Drawing(Graph(len(pts), ((0, 1), (2, 3))), pts))
-        slack = _slack(*pts)
-        way = _direction_pairing(a1, b1, a2, b2, slack)
-        overlap = (segments_overlap(a1, b1, a2, b2)
-                   or segments_overlap(a2, b2, a1, b1))
-        if not yielded:
-            assert not overlap
-        if way is None:
-            dropped["window"] += 1
-            assert not yielded
+        verify(Drawing(Graph(len(pts), edges), pts))
+        if (a1, b1, a2, b2) in called:
+            found[kind] = found.get(kind, 0) + overlap(a1, b1, a2, b2)
         else:
-            kept[way] = kept.get(way, 0) + 1
-            found[way] = found.get(way, 0) + overlap
-        for pt in pts[2:]:
-            if (pt, a1, b1) not in called:
-                assert not point_on_segment_interior(pt, a1, b1)
-            if _off_line_rejects(pt, a1, b1, slack):
-                dropped["line"] += 1
-                assert (pt, a1, b1) not in called
-            else:
-                kept["line"] = kept.get("line", 0) + 1
-                found["line"] = (found.get("line", 0)
-                                 + point_on_segment_interior(pt, a1, b1))
-    assert dropped["window"] > 5_000 and dropped["line"] > 10_000
-    assert all(kept[way] > 400 for way in ("direct", "wrap", "wide", "line"))
-    assert all(found[way] > 50 for way in ("direct", "wrap", "wide", "line"))
+            dropped["pair"] += 1
+            assert not overlap(a1, b1, a2, b2)
+            assert not overlap(a2, b2, a1, b1)
+        for v, pt in enumerate(pts):
+            for i, j in edges:
+                if v not in (i, j) and (pt, pts[i], pts[j]) not in called:
+                    dropped["vertex"] += 1
+                    assert not interior(pt, pts[i], pts[j])
+    assert dropped["pair"] > 4_000 and dropped["vertex"] > 20_000
+    assert all(found.get(kind, 0) > 150 for kind in (
+        "vertical", "inside", "spans", "shared", "short")), found
 
 
 class TestReportCache:
