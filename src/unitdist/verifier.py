@@ -283,7 +283,8 @@ def _segment_pairs(pos, order, boxes, incident):
                if tol < t < 1.0 - tol and point_on_segment_interior(
                    pos[v], pos[boxes[k][13]], pos[boxes[k][14]])]
     pairs = {(k, e) if k < e else (e, k) for k, v, _ in near for e in incident[v]}
-    # g's near-line tests of h's ends, as segments_overlap(g, h) computes them
+    # g's near-line tests of h's ends, as segments_overlap(g, h) computes them;
+    # inline they drop most pairs for less than a call each
     overlapping = [(k, e) for k, e in pairs for g, h in [(boxes[k], boxes[e])]
                    if abs(g[9] * (h[6] - g[6]) - g[10] * (h[5] - g[5])) / g[11] < tol
                    and abs(g[9] * (h[8] - g[6]) - g[10] * (h[7] - g[5])) / g[11] < tol

@@ -479,7 +479,8 @@ def test_window_and_line_drops_imply_the_predicate_is_false(monkeypatch):
     # vertex/edge pair it does not hand to point_on_segment_interior, fails
     # the predicate: through the near vertices each edge's box keeps, the
     # pairs each branch of _segment_pairs' soundness argument needs come
-    # through, and true findings come through in each kind of case
+    # through, and true findings come through in each kind of case and for
+    # vertices inside edges
     rng = random.Random(0)
     tol = DEFAULT_DEGENERACY_TOL
     called = set()
@@ -495,7 +496,7 @@ def test_window_and_line_drops_imply_the_predicate_is_false(monkeypatch):
 
     monkeypatch.setattr(verifier, "segments_overlap", recording_overlap)
     monkeypatch.setattr(verifier, "point_on_segment_interior", recording_interior)
-    dropped, found = {"pair": 0, "vertex": 0}, {}
+    dropped, found = {"pair": 0, "vertex": 0}, {"vertex": 0}
     for kind, pts, edges in _pairing_cases(rng, 16_000):
         (a1, b1), (a2, b2) = [(pts[i], pts[j]) for i, j in edges]
         if math.dist(a1, b1) <= tol or math.dist(a2, b2) <= tol:
@@ -510,12 +511,17 @@ def test_window_and_line_drops_imply_the_predicate_is_false(monkeypatch):
             assert not overlap(a2, b2, a1, b1)
         for v, pt in enumerate(pts):
             for i, j in edges:
-                if v not in (i, j) and (pt, pts[i], pts[j]) not in called:
+                if v in (i, j):
+                    continue
+                if (pt, pts[i], pts[j]) in called:
+                    found["vertex"] += interior(pt, pts[i], pts[j])
+                else:
                     dropped["vertex"] += 1
                     assert not interior(pt, pts[i], pts[j])
     assert dropped["pair"] > 4_000 and dropped["vertex"] > 20_000
     assert all(found.get(kind, 0) > 150 for kind in (
         "vertical", "inside", "spans", "shared", "short")), found
+    assert found["vertex"] > 10_000, found
 
 
 class TestReportCache:
